@@ -183,7 +183,7 @@ int main() {
   int64_t counted = 0;
   for (const Table& t : w.test.tables) {
     if (counted++ >= 8) break;
-    visible += VisibleFraction(BuildTurlVisibility(w.serializer->Serialize(t)));
+    visible += TurlMask(w.serializer->Serialize(t)).VisibleFraction();
   }
   std::printf("\nMean visible fraction of the TURL visibility matrix over "
               "held-out tables: %.3f (1.0 = dense)\n",

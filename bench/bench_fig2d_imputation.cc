@@ -142,9 +142,8 @@ int main() {
     auto rnd = run_condition(false, cond.steps, cond.freeze, nullptr);
     sweep.push_back({cond.name, Fmt(pre[0].report.accuracy),
                      Fmt(rnd[0].report.accuracy),
-                     pre[0].report.accuracy >= rnd[0].report.accuracy
-                         ? "pretrained"
-                         : "random"});
+                     Winner(pre[0].report.accuracy, "pretrained",
+                            rnd[0].report.accuracy, "random")});
   }
   std::printf("%s", RenderTextTable({"regime", "pretrained init",
                                      "random init", "winner"},

@@ -281,14 +281,14 @@ void BM_SerializeTable(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeTable);
 
-void BM_BuildTurlVisibility(benchmark::State& state) {
+void BM_BuildTurlMask(benchmark::State& state) {
   MicroWorld& w = GetWorld();
   TokenizedTable serialized = w.serializer->Serialize(w.corpus.tables[0]);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildTurlVisibility(serialized));
+    benchmark::DoNotOptimize(TurlMask(serialized));
   }
 }
-BENCHMARK(BM_BuildTurlVisibility);
+BENCHMARK(BM_BuildTurlMask);
 
 void BM_CsvParse(benchmark::State& state) {
   MicroWorld& w = GetWorld();

@@ -15,10 +15,11 @@
 //       ok + shed == sent (the zero-silent-drops contract).
 //
 // Counter determinism note (for the baseline gate): phases (a) and (b)
-// have fully deterministic request counts. Phase (c)'s ok/shed split
-// depends on completion timing, which is why tabrep.net.* counters are
-// on the bench_diff noisy list (absolute slack, currently 512) — the
-// split moves by a handful of requests run-to-run, never by hundreds.
+// have fully deterministic request counts, and phase (b)'s connections
+// never share a table, so its encode count is fixed too. Phase (c)'s
+// ok/shed split depends on completion timing, which is why
+// tabrep.net.* counters are on the bench_diff noisy list (absolute
+// slack, currently 512) — the split moves by a handful of requests run-to-run, never by hundreds.
 // The shed volume is additionally reported as a *fraction of sent*
 // (gauge tabrep.net.bench.shed.rate) so the baseline gate compares a
 // scale-free number: a raw shed count doubles when the burst doubles,
@@ -125,9 +126,18 @@ int main() {
   window_opts.window_secs = 512;
   obs::WindowedRegistry window(window_opts);
   {
+    const int64_t num_conns = 4;
+    TABREP_CHECK(num_inputs % num_conns == 0)
+        << "connections need disjoint, equal table slices";
+    // One batch per lockstep step: each closed-loop connection has at
+    // most one request outstanding, so the dispatcher lingers until all
+    // of them have queued and every batch holds exactly num_conns
+    // tables. A timing-dependent batch mix would move the runtime
+    // counters (batch-level ParallelFor calls and chunks) that the
+    // baseline gate pins; the long linger only ends early on a stall.
     serve::BatchedEncoderOptions eopts;
-    eopts.max_batch = 8;
-    eopts.max_wait_us = 200;
+    eopts.max_batch = num_conns;
+    eopts.max_wait_us = 1000000;
     eopts.cache_capacity = 0;  // every request does real encode work
     serve::BatchedEncoder encoder(&model, eopts);
     net::Server server(&encoder);
@@ -141,7 +151,6 @@ int main() {
       }
     });
 
-    const int64_t num_conns = 4;
     const int64_t rounds = BenchSteps(12, 2);
     load_requests = num_conns * rounds * num_inputs;
     std::vector<std::thread> conns;
@@ -155,14 +164,18 @@ int main() {
           failures[static_cast<size_t>(c)] = rounds * num_inputs;
           return;
         }
-        for (int64_t r = 0; r < rounds; ++r) {
-          for (int64_t i = 0; i < num_inputs; ++i) {
-            obs::ScopedTimer timer(request_us);
-            StatusOr<net::EncodeResult> out =
-                client->Encode(inputs[static_cast<size_t>(i)]);
-            if (!out.ok() || !out->status.ok()) {
-              ++failures[static_cast<size_t>(c)];
-            }
+        // Each connection cycles over its own slice of the tables
+        // (i % num_conns == c). With the cache off, two connections
+        // asking for one table at once would coalesce into one encode,
+        // and how often that happens depends on scheduling; disjoint
+        // slices keep the encode count at exactly one per request.
+        for (int64_t n = 0; n < rounds * num_inputs; ++n) {
+          const int64_t i = (c + n * num_conns) % num_inputs;
+          obs::ScopedTimer timer(request_us);
+          StatusOr<net::EncodeResult> out =
+              client->Encode(inputs[static_cast<size_t>(i)]);
+          if (!out.ok() || !out->status.ok()) {
+            ++failures[static_cast<size_t>(c)];
           }
         }
       });

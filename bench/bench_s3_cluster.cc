@@ -24,7 +24,8 @@
 // counts are workload-determined. The steal phase's routed/steal
 // *split* depends on instantaneous depths — which is exactly why
 // "tabrep.cluster." sits on the bench-diff noisy-prefix list (the sum
-// is invariant, the split wobbles).
+// is invariant, the split wobbles). It too waits round by round, so
+// nothing coalesces and its encode count is fixed.
 
 #include <atomic>
 #include <chrono>
@@ -201,14 +202,13 @@ int main() {
       if (cluster.HomeShard(in) == 0) hot.push_back(in);
     }
     TABREP_CHECK(!hot.empty());
+    // Round by round: each round's burst of distinct hot tables still
+    // backs shard 0's queue up past the threshold, but no table is ever
+    // in flight twice, so nothing coalesces and the encode count is
+    // exactly hot x rounds whichever shard each request lands on.
     const int64_t skew_rounds = BenchSteps(12, 4);
-    std::vector<std::future<StatusOr<serve::EncodedTablePtr>>> futures;
     for (int64_t r = 0; r < skew_rounds; ++r) {
-      for (const TokenizedTable& in : hot) futures.push_back(cluster.Submit(in));
-    }
-    for (auto& f : futures) {
-      StatusOr<serve::EncodedTablePtr> out = f.get();
-      TABREP_CHECK(out.ok()) << out.status().ToString();
+      TABREP_CHECK(RunRound(cluster, hot)) << "skew round failed";
     }
     const double routed = static_cast<double>(cluster.routed_count());
     const double stolen = static_cast<double>(cluster.steal_count());

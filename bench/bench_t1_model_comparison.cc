@@ -136,11 +136,11 @@ int main() {
   const TaskScores& vanilla = scores[ModelFamily::kVanilla];
   const double vanilla_mean =
       (vanilla.imputation + vanilla.qa + vanilla.fact + vanilla.columns) / 4.0;
+  const std::string winner =
+      Winner(best_structured, "structure-aware wins (the survey's claim)",
+             vanilla_mean, "vanilla wins (unexpected at paper scale)");
   std::printf("\nBest structure-aware mean %.3f vs vanilla mean %.3f -> %s\n",
-              best_structured, vanilla_mean,
-              best_structured >= vanilla_mean
-                  ? "structure-aware wins (the survey's claim)"
-                  : "vanilla wins (unexpected at paper scale)");
+              best_structured, vanilla_mean, winner.c_str());
   std::printf("\nbench_t1: OK\n");
   WriteBenchObsReport("t1");
   return 0;

@@ -113,6 +113,14 @@ inline std::string Fmt(double v, int precision = 3) {
   return buf;
 }
 
+/// Names the higher of two scores, or "tie" when they print the same
+/// at `precision` (so a 0.000 vs 0.000 result is never called a win).
+inline std::string Winner(double a, const std::string& a_name, double b,
+                          const std::string& b_name, int precision = 3) {
+  if (Fmt(a, precision) == Fmt(b, precision)) return "tie";
+  return a > b ? a_name : b_name;
+}
+
 inline void PrintHeader(const char* id, const char* title) {
   std::printf("\n==============================================================\n");
   std::printf("%s — %s\n", id, title);

@@ -143,19 +143,12 @@ Encoded TableEncoderModel::Encode(const TokenizedTable& input, Rng& rng,
   graph_calls.Increment();
   ag::Variable x = EmbedInput(input, rng);
 
-  nn::AttentionBias bias;
-  const nn::AttentionBias* bias_ptr = nullptr;
-  if (config_.family == ModelFamily::kTurl) {
-    bias.shared = BuildTurlVisibility(input);
-    bias_ptr = &bias;
-  } else if (config_.family == ModelFamily::kMate) {
-    bias.per_head = BuildMateBiases(input, config_.transformer.num_heads);
-    bias_ptr = &bias;
-  }
+  const nn::AttentionMask mask = StructureMask(input);
+  const nn::AttentionMask* mask_ptr = mask.rules.empty() ? nullptr : &mask;
 
   Encoded out;
   out.hidden = encoder_->Forward(
-      x, bias_ptr, rng, options.capture_attention ? &out.attention : nullptr);
+      x, mask_ptr, rng, options.capture_attention ? &out.attention : nullptr);
 
   if (options.need_cells && !input.cells.empty()) {
     // Mean-pool each cell's token span.
@@ -170,18 +163,8 @@ Encoded TableEncoderModel::Encode(const TokenizedTable& input, Rng& rng,
 
     if (config_.family == ModelFamily::kTabert) {
       // Vertical self-attention: cells attend within their column.
-      const int64_t n = static_cast<int64_t>(input.cells.size());
-      Tensor vbias({n, n});
-      for (int64_t i = 0; i < n; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-          const bool same_col = input.cells[static_cast<size_t>(i)].col ==
-                                input.cells[static_cast<size_t>(j)].col;
-          vbias.at(i, j) = (i == j || same_col) ? 0.0f : nn::kMaskedScore;
-        }
-      }
-      nn::AttentionBias vb;
-      vb.shared = std::move(vbias);
-      ag::Variable refined = vertical_attn_->Forward(cells, &vb, rng);
+      const nn::AttentionMask vmask = VerticalMask(input.cells);
+      ag::Variable refined = vertical_attn_->Forward(cells, &vmask, rng);
       cells = vertical_ln_->Forward(ag::Add(cells, refined));
     }
     out.cells = cells;
@@ -260,19 +243,12 @@ Encoded TableEncoderModel::EncodeInference(const TokenizedTable& input,
   mem::ScratchScope scratch;
   Tensor x = EmbedInputInference(input);
 
-  nn::AttentionBias bias;
-  const nn::AttentionBias* bias_ptr = nullptr;
-  if (config_.family == ModelFamily::kTurl) {
-    bias.shared = BuildTurlVisibility(input);
-    bias_ptr = &bias;
-  } else if (config_.family == ModelFamily::kMate) {
-    bias.per_head = BuildMateBiases(input, config_.transformer.num_heads);
-    bias_ptr = &bias;
-  }
+  const nn::AttentionMask mask = StructureMask(input);
+  const nn::AttentionMask* mask_ptr = mask.rules.empty() ? nullptr : &mask;
 
   Encoded out;
   Tensor hidden = encoder_->ForwardInference(
-      x, bias_ptr, options.capture_attention ? &out.attention : nullptr,
+      x, mask_ptr, options.capture_attention ? &out.attention : nullptr,
       options.precision);
   out.hidden = ag::Variable::Constant(hidden);
 
@@ -287,26 +263,27 @@ Encoded TableEncoderModel::EncodeInference(const TokenizedTable& input,
     Tensor cells = ops::ConcatRows(pooled);
 
     if (config_.family == ModelFamily::kTabert) {
-      const int64_t n = static_cast<int64_t>(input.cells.size());
-      Tensor vbias({n, n});
-      for (int64_t i = 0; i < n; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-          const bool same_col = input.cells[static_cast<size_t>(i)].col ==
-                                input.cells[static_cast<size_t>(j)].col;
-          vbias.at(i, j) = (i == j || same_col) ? 0.0f : nn::kMaskedScore;
-        }
-      }
-      nn::AttentionBias vb;
-      vb.shared = std::move(vbias);
-      Tensor refined =
-          vertical_attn_->ForwardInference(cells, &vb, nullptr,
-                                           options.precision);
+      const nn::AttentionMask vmask = VerticalMask(input.cells);
+      Tensor refined = vertical_attn_->ForwardInference(
+          cells, &vmask, nullptr, options.precision);
       cells = vertical_ln_->ForwardInference(ops::Add(cells, refined));
     }
     out.cells = ag::Variable::Constant(cells);
     out.has_cells = true;
   }
   return out;
+}
+
+nn::AttentionMask TableEncoderModel::StructureMask(
+    const TokenizedTable& input) const {
+  switch (config_.family) {
+    case ModelFamily::kTurl:
+      return TurlMask(input);
+    case ModelFamily::kMate:
+      return MateMask(input, config_.transformer.num_heads);
+    default:
+      return {};
+  }
 }
 
 ag::Variable TableEncoderModel::Cls(const Encoded& encoded) const {

@@ -105,6 +105,8 @@ class TableEncoderModel : public nn::Module {
   Tensor EmbedInputInference(const TokenizedTable& input);
   Encoded EncodeInference(const TokenizedTable& input,
                           const EncodeOptions& options);
+  /// The family's encoder-stack mask (TURL, MATE); no rules = dense.
+  nn::AttentionMask StructureMask(const TokenizedTable& input) const;
 
   ModelConfig config_;
   Rng init_rng_;

@@ -1,67 +1,49 @@
 #include "models/visibility.h"
 
-#include "nn/attention.h"
-
 namespace tabrep {
 
 namespace {
 
-bool InGrid(const TokenInfo& t) { return t.row > 0 || t.column > 0; }
-
-bool SameRow(const TokenInfo& a, const TokenInfo& b) {
-  return a.row > 0 && a.row == b.row;
-}
-
-bool SameColumn(const TokenInfo& a, const TokenInfo& b) {
-  return a.column > 0 && a.column == b.column;
+/// The token ids every TokenizedTable rule reads, with `rules`.
+nn::AttentionMask TokenMask(const TokenizedTable& input,
+                            std::vector<kernels::MaskRule> rules) {
+  nn::AttentionMask mask;
+  mask.row.reserve(input.tokens.size());
+  mask.column.reserve(input.tokens.size());
+  for (const TokenInfo& tok : input.tokens) {
+    mask.row.push_back(tok.row);
+    mask.column.push_back(tok.column);
+  }
+  mask.rules = std::move(rules);
+  return mask;
 }
 
 }  // namespace
 
-Tensor BuildTurlVisibility(const TokenizedTable& input) {
-  const int64_t t = input.size();
-  Tensor bias({t, t});
-  for (int64_t i = 0; i < t; ++i) {
-    const TokenInfo& a = input.tokens[static_cast<size_t>(i)];
-    for (int64_t j = 0; j < t; ++j) {
-      const TokenInfo& b = input.tokens[static_cast<size_t>(j)];
-      const bool visible = i == j || !InGrid(a) || !InGrid(b) ||
-                           SameRow(a, b) || SameColumn(a, b);
-      bias.at(i, j) = visible ? 0.0f : nn::kMaskedScore;
-    }
-  }
-  return bias;
+nn::AttentionMask TurlMask(const TokenizedTable& input) {
+  return TokenMask(input, {kernels::MaskRule::kRowOrColumn});
 }
 
-std::vector<Tensor> BuildMateBiases(const TokenizedTable& input,
-                                    int64_t num_heads) {
-  const int64_t t = input.size();
-  Tensor row_bias({t, t});
-  Tensor col_bias({t, t});
-  for (int64_t i = 0; i < t; ++i) {
-    const TokenInfo& a = input.tokens[static_cast<size_t>(i)];
-    for (int64_t j = 0; j < t; ++j) {
-      const TokenInfo& b = input.tokens[static_cast<size_t>(j)];
-      const bool base = i == j || !InGrid(a) || !InGrid(b);
-      row_bias.at(i, j) = base || SameRow(a, b) ? 0.0f : nn::kMaskedScore;
-      col_bias.at(i, j) = base || SameColumn(a, b) ? 0.0f : nn::kMaskedScore;
-    }
-  }
-  std::vector<Tensor> out;
-  out.reserve(static_cast<size_t>(num_heads));
+nn::AttentionMask MateMask(const TokenizedTable& input, int64_t num_heads) {
+  std::vector<kernels::MaskRule> rules;
+  rules.reserve(static_cast<size_t>(num_heads));
   for (int64_t h = 0; h < num_heads; ++h) {
-    out.push_back(h < num_heads / 2 ? row_bias : col_bias);
+    rules.push_back(h < num_heads / 2 ? kernels::MaskRule::kSameRow
+                                      : kernels::MaskRule::kSameColumn);
   }
-  return out;
+  return TokenMask(input, std::move(rules));
 }
 
-double VisibleFraction(const Tensor& bias) {
-  if (bias.numel() == 0) return 1.0;
-  int64_t visible = 0;
-  for (int64_t i = 0; i < bias.numel(); ++i) {
-    if (bias[i] == 0.0f) ++visible;
+nn::AttentionMask VerticalMask(const std::vector<CellSpan>& cells) {
+  nn::AttentionMask mask;
+  mask.row.reserve(cells.size());
+  mask.column.reserve(cells.size());
+  for (const CellSpan& cell : cells) {
+    mask.row.push_back(cell.row);
+    mask.column.push_back(cell.col);
   }
-  return static_cast<double>(visible) / static_cast<double>(bias.numel());
+  mask.rules = {kernels::MaskRule::kSameGroup};
+  return mask;
 }
 
 }  // namespace tabrep

@@ -3,30 +3,28 @@
 
 #include <vector>
 
+#include "nn/attention.h"
 #include "serialize/serializer.h"
-#include "tensor/tensor.h"
 
 namespace tabrep {
 
-/// TURL-style visibility matrix: additive [T, T] bias where token i may
-/// attend to token j iff
-///   - either token is outside the grid (context, specials, headers of
-///     no column), or
+/// TURL-style visibility, one kRowOrColumn rule for every head: token
+/// i may attend to token j iff
+///   - either token is outside the grid (context, specials), or
 ///   - they share a row, or
 ///   - they share a column.
-/// Everything else receives kMaskedScore. Diagonal is always visible.
-Tensor BuildTurlVisibility(const TokenizedTable& input);
+/// Everything else is masked. The diagonal is always visible.
+nn::AttentionMask TurlMask(const TokenizedTable& input);
 
-/// MATE-style per-head biases: the first half of the heads are "row
-/// heads" (grid tokens attend within their row plus all non-grid
-/// tokens), the rest are "column heads" (within their column plus
-/// non-grid). Non-grid tokens attend everywhere in every head.
-std::vector<Tensor> BuildMateBiases(const TokenizedTable& input,
-                                    int64_t num_heads);
+/// MATE-style per-head rules: the first half of the heads are row heads
+/// (kSameRow: grid tokens attend within their row plus all non-grid
+/// tokens), the rest are column heads (kSameColumn: within their column
+/// plus non-grid). Non-grid tokens attend everywhere in every head.
+nn::AttentionMask MateMask(const TokenizedTable& input, int64_t num_heads);
 
-/// Fraction of unmasked (visible) entries in an additive bias matrix;
-/// 1.0 = dense. Used by the efficiency bench.
-double VisibleFraction(const Tensor& bias);
+/// TaBERT's vertical attention over pooled cells: cell i attends to
+/// cell j iff they share a column (kSameGroup).
+nn::AttentionMask VerticalMask(const std::vector<CellSpan>& cells);
 
 }  // namespace tabrep
 

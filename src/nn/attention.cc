@@ -10,6 +10,54 @@
 
 namespace tabrep::nn {
 
+kernels::MaskView AttentionMask::view(int64_t head) const {
+  kernels::MaskRule rule = kernels::MaskRule::kNone;
+  if (!rules.empty()) {
+    rule = rules.size() == 1 ? rules[0] : rules[static_cast<size_t>(head)];
+  }
+  return {rule, row.data(), column.data()};
+}
+
+Tensor AttentionMask::Materialize(int64_t head) const {
+  const int64_t t = size();
+  const kernels::MaskView m = view(head);
+  Tensor bias({t, t});
+  for (int64_t i = 0; i < t; ++i) {
+    for (int64_t j = 0; j < t; ++j) {
+      bias.at(i, j) = kernels::MaskVisible(m, i, j) ? 0.0f
+                                                   : kernels::kMaskedScore;
+    }
+  }
+  return bias;
+}
+
+double AttentionMask::VisibleFraction(int64_t head) const {
+  const int64_t t = size();
+  if (t == 0) return 1.0;
+  const kernels::MaskView m = view(head);
+  int64_t visible = 0;
+  for (int64_t i = 0; i < t; ++i) {
+    for (int64_t j = 0; j < t; ++j) visible += kernels::MaskVisible(m, i, j);
+  }
+  return static_cast<double>(visible) / static_cast<double>(t * t);
+}
+
+namespace {
+
+/// Checks a mask against the sequence length and head count.
+void CheckMask(const AttentionMask* mask, int64_t t, int64_t num_heads) {
+  if (mask == nullptr) return;
+  TABREP_CHECK(mask->size() == t && mask->column.size() == mask->row.size())
+      << "attention mask over " << mask->size()
+      << " tokens vs sequence length " << t;
+  TABREP_CHECK(mask->rules.size() <= 1 ||
+               static_cast<int64_t>(mask->rules.size()) == num_heads)
+      << "attention mask has " << mask->rules.size() << " rules for "
+      << num_heads << " heads";
+}
+
+}  // namespace
+
 MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t dim, int64_t num_heads,
                                                float dropout, Rng& rng)
     : dim_(dim),
@@ -33,7 +81,7 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t dim, int64_t num_heads,
 }
 
 ag::Variable MultiHeadSelfAttention::Forward(const ag::Variable& x,
-                                             const AttentionBias* bias,
+                                             const AttentionMask* mask,
                                              Rng& rng,
                                              Tensor* attn_probs_out) {
   TABREP_TRACE_SPAN("nn.attention");
@@ -45,12 +93,7 @@ ag::Variable MultiHeadSelfAttention::Forward(const ag::Variable& x,
   obs::ScopedTimer timer(duration_us);
   const int64_t t = x.value().rows();
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  if (bias) {
-    if (bias->has_per_head()) {
-      TABREP_CHECK(static_cast<int64_t>(bias->per_head.size()) == num_heads_)
-          << "per-head bias count " << bias->per_head.size();
-    }
-  }
+  CheckMask(mask, t, num_heads_);
 
   // Per-head dropout seeds are drawn sequentially up front so the
   // parallel region never touches the caller's rng; the stream each
@@ -64,7 +107,7 @@ ag::Variable MultiHeadSelfAttention::Forward(const ag::Variable& x,
 
   // Heads write disjoint slots; the Add chain and the probs average
   // are reduced in head order afterwards. Capture reads the same
-  // pre-dropout probabilities the bias path exposes, so it adds no
+  // pre-dropout probabilities the masked path exposes, so it adds no
   // computation to the graph and leaves outputs bitwise-identical.
   const bool capture = obs::AttentionCaptureActive();
   const bool keep_probs = attn_probs_out != nullptr || capture;
@@ -76,36 +119,26 @@ ag::Variable MultiHeadSelfAttention::Forward(const ag::Variable& x,
       ag::Variable q = q_[static_cast<size_t>(h)]->Forward(x);
       ag::Variable k = k_[static_cast<size_t>(h)]->Forward(x);
       ag::Variable v = v_[static_cast<size_t>(h)]->Forward(x);
-      const Tensor* head_bias = nullptr;
-      if (bias) {
-        if (bias->has_per_head()) {
-          head_bias = &bias->per_head[static_cast<size_t>(h)];
-        } else if (bias->has_shared()) {
-          head_bias = &bias->shared;
-        }
-      }
-      if (head_bias) {
-        TABREP_CHECK(head_bias->dim() == 2 && head_bias->rows() == t &&
-                     head_bias->cols() == t)
-            << "attention bias shape " << ShapeToString(head_bias->shape())
-            << " vs sequence length " << t;
-      }
+      const kernels::MaskView head_mask =
+          mask != nullptr ? mask->view(h) : kernels::MaskView{};
       ag::Variable ctx;
       if (!use_dropout) {
-        // Fused path: score + softmax + context in one pass over K/V
-        // (kernels::FusedAttention). Capturing probabilities does not
-        // change the arithmetic, so capture on/off stays
-        // bitwise-identical.
+        // Fused path: score + softmax + context in one pass over the
+        // keys the mask leaves visible (kernels::MaskedAttention).
+        // Capturing probabilities does not change the arithmetic, so
+        // capture on/off stays bitwise-identical.
         Tensor probs_t;
-        ctx = ag::FusedAttention(q, k, v, head_bias, scale,
+        ctx = ag::FusedAttention(q, k, v, head_mask, scale,
                                  keep_probs ? &probs_t : nullptr);
         if (keep_probs) head_probs[static_cast<size_t>(h)] = probs_t;
       } else {
-        // Dropout needs the materialized probability matrix to mask.
+        // Dropout needs the materialized probability matrix to mask,
+        // and so the dense bias.
         ag::Variable scores =
             ag::MulScalar(ag::MatMulTransposedB(q, k), scale);
-        if (head_bias) {
-          scores = ag::Add(scores, ag::Variable::Constant(*head_bias));
+        if (head_mask.rule != kernels::MaskRule::kNone) {
+          scores =
+              ag::Add(scores, ag::Variable::Constant(mask->Materialize(h)));
         }
         ag::Variable probs = ag::Softmax(scores);
         if (keep_probs) head_probs[static_cast<size_t>(h)] = probs.value();
@@ -146,7 +179,7 @@ ag::Variable MultiHeadSelfAttention::Forward(const ag::Variable& x,
 }
 
 Tensor MultiHeadSelfAttention::ForwardInference(const Tensor& x,
-                                                const AttentionBias* bias,
+                                                const AttentionMask* mask,
                                                 Tensor* attn_probs_out,
                                                 kernels::Precision precision) {
   TABREP_TRACE_SPAN("nn.attention");
@@ -160,10 +193,7 @@ Tensor MultiHeadSelfAttention::ForwardInference(const Tensor& x,
       << "ForwardInference cannot apply dropout; call SetTraining(false)";
   const int64_t t = x.rows();
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  if (bias && bias->has_per_head()) {
-    TABREP_CHECK(static_cast<int64_t>(bias->per_head.size()) == num_heads_)
-        << "per-head bias count " << bias->per_head.size();
-  }
+  CheckMask(mask, t, num_heads_);
 
   // Same shape as the graph path's dropout-off branch: heads fill
   // disjoint slots under the same ParallelFor, the reduction runs in
@@ -178,22 +208,10 @@ Tensor MultiHeadSelfAttention::ForwardInference(const Tensor& x,
       Tensor q = q_[static_cast<size_t>(h)]->ForwardInference(x, precision);
       Tensor k = k_[static_cast<size_t>(h)]->ForwardInference(x, precision);
       Tensor v = v_[static_cast<size_t>(h)]->ForwardInference(x, precision);
-      const Tensor* head_bias = nullptr;
-      if (bias) {
-        if (bias->has_per_head()) {
-          head_bias = &bias->per_head[static_cast<size_t>(h)];
-        } else if (bias->has_shared()) {
-          head_bias = &bias->shared;
-        }
-      }
-      if (head_bias) {
-        TABREP_CHECK(head_bias->dim() == 2 && head_bias->rows() == t &&
-                     head_bias->cols() == t)
-            << "attention bias shape " << ShapeToString(head_bias->shape())
-            << " vs sequence length " << t;
-      }
+      const kernels::MaskView head_mask =
+          mask != nullptr ? mask->view(h) : kernels::MaskView{};
       Tensor probs_t;
-      Tensor ctx = ops::ScaledDotAttention(q, k, v, head_bias, scale,
+      Tensor ctx = ops::ScaledDotAttention(q, k, v, head_mask, scale,
                                            keep_probs ? &probs_t : nullptr);
       if (keep_probs) head_probs[static_cast<size_t>(h)] = probs_t;
       head_outs[static_cast<size_t>(h)] =

@@ -6,29 +6,37 @@
 
 #include "nn/layers.h"
 #include "nn/module.h"
+#include "tensor/kernels.h"
 
 namespace tabrep::nn {
 
-/// Configuration of attention-bias masking. The bias matrices are
-/// additive on pre-softmax scores: 0 keeps a pair, a large negative
-/// value (kMaskedScore) removes it. This is the single extension point
-/// through which the structure-aware models express themselves:
-///   - Vanilla/TAPAS: no bias (dense attention),
-///   - TURL: one shared visibility matrix (same row/column only),
-///   - MATE: per-head biases (row heads vs column heads).
-struct AttentionBias {
-  /// Shared [T, T] bias for every head; empty = dense.
-  Tensor shared;
-  /// Per-head [T, T] biases; when non-empty must have num_heads
-  /// entries and takes precedence over `shared`.
-  std::vector<Tensor> per_head;
+/// Structure-aware visibility for one sequence: the per-token row and
+/// column ids plus one kernels::MaskRule per head. This is the single
+/// extension point through which the structure-aware models express
+/// themselves:
+///   - Vanilla/TAPAS: no mask (dense attention),
+///   - TURL: kRowOrColumn shared by every head,
+///   - MATE: kSameRow on the first half of the heads (row heads),
+///     kSameColumn on the rest (column heads),
+///   - TaBERT's vertical attention: kSameGroup over cells, by column.
+/// The attention kernels read the ids directly; no [T,T] bias tensor
+/// exists unless Materialize() builds one.
+struct AttentionMask {
+  std::vector<int32_t> row;
+  std::vector<int32_t> column;
+  /// One rule per head, or a single rule every head shares.
+  std::vector<kernels::MaskRule> rules;
 
-  bool has_shared() const { return !shared.empty(); }
-  bool has_per_head() const { return !per_head.empty(); }
+  int64_t size() const { return static_cast<int64_t>(row.size()); }
+  /// The kernel-facing view of `head`'s mask (borrows row/column); no
+  /// rules means kNone.
+  kernels::MaskView view(int64_t head) const;
+  /// `head`'s mask as the additive [T,T] bias it replaces: 0 where
+  /// visible, kernels::kMaskedScore where masked.
+  Tensor Materialize(int64_t head = 0) const;
+  /// Fraction of visible (query, key) pairs under `head`; 1.0 = dense.
+  double VisibleFraction(int64_t head = 0) const;
 };
-
-/// Additive score for masked pairs.
-inline constexpr float kMaskedScore = -1e9f;
 
 /// Multi-head scaled dot-product self-attention over one sequence
 /// [T, dim]. Heads use separate Q/K/V projections to dim/num_heads and
@@ -39,10 +47,11 @@ class MultiHeadSelfAttention : public Module {
   MultiHeadSelfAttention(int64_t dim, int64_t num_heads, float dropout,
                          Rng& rng);
 
-  /// Runs attention. `bias` may be null for dense attention. When
-  /// `attn_probs_out` is non-null it receives the post-softmax
-  /// attention matrix averaged over heads (for visualization).
-  ag::Variable Forward(const ag::Variable& x, const AttentionBias* bias,
+  /// Runs attention. `mask` may be null for dense attention; its rule
+  /// count must be 1 or num_heads. When `attn_probs_out` is non-null it
+  /// receives the post-softmax attention matrix averaged over heads
+  /// (for visualization).
+  ag::Variable Forward(const ag::Variable& x, const AttentionMask* mask,
                        Rng& rng, Tensor* attn_probs_out = nullptr);
 
   /// Graph-free forward on plain tensors. At kFloat32 it mirrors
@@ -53,7 +62,7 @@ class MultiHeadSelfAttention : public Module {
   /// score and context matmuls stay f32. Must not be called with
   /// dropout active (checked).
   Tensor ForwardInference(
-      const Tensor& x, const AttentionBias* bias,
+      const Tensor& x, const AttentionMask* mask,
       Tensor* attn_probs_out = nullptr,
       kernels::Precision precision = kernels::Precision::kFloat32);
 

@@ -18,10 +18,10 @@ TransformerEncoderLayer::TransformerEncoderLayer(
 }
 
 ag::Variable TransformerEncoderLayer::Forward(const ag::Variable& x,
-                                              const AttentionBias* bias,
+                                              const AttentionMask* mask,
                                               Rng& rng,
                                               Tensor* attn_probs_out) {
-  ag::Variable attn = attention_.Forward(x, bias, rng, attn_probs_out);
+  ag::Variable attn = attention_.Forward(x, mask, rng, attn_probs_out);
   if (training() && dropout_ > 0.0f) attn = ag::Dropout(attn, dropout_, rng);
   ag::Variable h = ln1_.Forward(ag::Add(x, attn));
   ag::Variable ffn = ffn_.Forward(h);
@@ -30,12 +30,12 @@ ag::Variable TransformerEncoderLayer::Forward(const ag::Variable& x,
 }
 
 Tensor TransformerEncoderLayer::ForwardInference(const Tensor& x,
-                                                 const AttentionBias* bias,
+                                                 const AttentionMask* mask,
                                                  Tensor* attn_probs_out,
                                                  kernels::Precision precision) {
   TABREP_CHECK(!(training() && dropout_ > 0.0f))
       << "ForwardInference cannot apply dropout; call SetTraining(false)";
-  Tensor attn = attention_.ForwardInference(x, bias, attn_probs_out, precision);
+  Tensor attn = attention_.ForwardInference(x, mask, attn_probs_out, precision);
   Tensor h = ln1_.ForwardInference(ops::Add(x, attn));
   Tensor ffn = ffn_.ForwardInference(h, precision);
   return ln2_.ForwardInference(ops::Add(h, ffn));
@@ -51,24 +51,24 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig& config,
 }
 
 ag::Variable TransformerEncoder::Forward(
-    const ag::Variable& x, const AttentionBias* bias, Rng& rng,
+    const ag::Variable& x, const AttentionMask* mask, Rng& rng,
     std::vector<Tensor>* attn_probs_out) {
   ag::Variable h = x;
   for (auto& layer : layers_) {
     Tensor probs;
-    h = layer->Forward(h, bias, rng, attn_probs_out ? &probs : nullptr);
+    h = layer->Forward(h, mask, rng, attn_probs_out ? &probs : nullptr);
     if (attn_probs_out) attn_probs_out->push_back(std::move(probs));
   }
   return h;
 }
 
 Tensor TransformerEncoder::ForwardInference(
-    const Tensor& x, const AttentionBias* bias,
+    const Tensor& x, const AttentionMask* mask,
     std::vector<Tensor>* attn_probs_out, kernels::Precision precision) {
   Tensor h = x;
   for (auto& layer : layers_) {
     Tensor probs;
-    h = layer->ForwardInference(h, bias, attn_probs_out ? &probs : nullptr,
+    h = layer->ForwardInference(h, mask, attn_probs_out ? &probs : nullptr,
                                 precision);
     if (attn_probs_out) attn_probs_out->push_back(std::move(probs));
   }

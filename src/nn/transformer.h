@@ -25,14 +25,14 @@ class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(const TransformerConfig& config, Rng& rng);
 
-  ag::Variable Forward(const ag::Variable& x, const AttentionBias* bias,
+  ag::Variable Forward(const ag::Variable& x, const AttentionMask* mask,
                        Rng& rng, Tensor* attn_probs_out = nullptr);
 
   /// Graph-free forward; requires eval mode (dropout would need rng).
   /// `precision` routes to the attention projections and the FFN
   /// Linears; LayerNorms and residual adds stay f32.
   Tensor ForwardInference(
-      const Tensor& x, const AttentionBias* bias,
+      const Tensor& x, const AttentionMask* mask,
       Tensor* attn_probs_out = nullptr,
       kernels::Precision precision = kernels::Precision::kFloat32);
 
@@ -44,20 +44,20 @@ class TransformerEncoderLayer : public Module {
   LayerNorm ln2_;
 };
 
-/// A stack of encoder layers sharing one AttentionBias.
+/// A stack of encoder layers sharing one AttentionMask.
 class TransformerEncoder : public Module {
  public:
   TransformerEncoder(const TransformerConfig& config, Rng& rng);
 
   /// Runs the stack. When `attn_probs_out` is non-null it receives one
   /// averaged attention matrix per layer.
-  ag::Variable Forward(const ag::Variable& x, const AttentionBias* bias,
+  ag::Variable Forward(const ag::Variable& x, const AttentionMask* mask,
                        Rng& rng,
                        std::vector<Tensor>* attn_probs_out = nullptr);
 
   /// Graph-free forward over the stack (eval mode only).
   Tensor ForwardInference(
-      const Tensor& x, const AttentionBias* bias,
+      const Tensor& x, const AttentionMask* mask,
       std::vector<Tensor>* attn_probs_out = nullptr,
       kernels::Precision precision = kernels::Precision::kFloat32);
 

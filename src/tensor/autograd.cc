@@ -298,8 +298,8 @@ Variable MatMulTransposedB(const Variable& a, const Variable& b) {
 }
 
 Variable FusedAttention(const Variable& q, const Variable& k,
-                        const Variable& v, const Tensor* bias, float scale,
-                        Tensor* probs_out) {
+                        const Variable& v, const kernels::MaskView& mask,
+                        float scale, Tensor* probs_out) {
   auto pq = q.impl();
   auto pk = k.impl();
   auto pv = v.impl();
@@ -308,7 +308,7 @@ Variable FusedAttention(const Variable& q, const Variable& k,
   // ops::ScaledDotAttention computes the same values either way.
   const bool keep_probs = probs_out != nullptr || !NoGradScope::Active();
   Tensor probs;
-  Tensor y = ops::ScaledDotAttention(q.value(), k.value(), v.value(), bias,
+  Tensor y = ops::ScaledDotAttention(q.value(), k.value(), v.value(), mask,
                                      scale, keep_probs ? &probs : nullptr);
   if (probs_out != nullptr) *probs_out = probs;
   return MakeOp(y, {q, k, v}, [pq, pk, pv, probs, scale](const Tensor& g) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 
 namespace tabrep::ag {
@@ -177,15 +178,16 @@ Variable MatMul(const Variable& a, const Variable& b);
 /// C = A * B^T.
 Variable MatMulTransposedB(const Variable& a, const Variable& b);
 
-/// Fused scaled-dot-product attention over 2-D q/k/v (see
-/// ops::ScaledDotAttention). `bias` is a constant additive mask
-/// ([tq,tk], not differentiated through) and may be null; `probs_out`,
-/// if non-null, receives the post-softmax probabilities. The backward
-/// pass recomputes nothing — it keeps the probabilities internally —
-/// and accumulates into q/k/v with a fixed order.
+/// Fused scaled-dot-product self-attention over 2-D q/k/v under a
+/// structure mask (see ops::ScaledDotAttention; kNone = dense). The
+/// mask is a constant, not differentiated through; `probs_out`, if
+/// non-null, receives the post-softmax probabilities. The backward
+/// pass recomputes nothing — it keeps the dense probabilities, exactly
+/// 0 where masked, internally — and accumulates into q/k/v with a
+/// fixed order.
 Variable FusedAttention(const Variable& q, const Variable& k,
-                        const Variable& v, const Tensor* bias, float scale,
-                        Tensor* probs_out = nullptr);
+                        const Variable& v, const kernels::MaskView& mask,
+                        float scale, Tensor* probs_out = nullptr);
 Variable Transpose(const Variable& a);
 Variable Reshape(const Variable& a, std::vector<int64_t> shape);
 

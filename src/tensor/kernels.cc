@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,10 @@ constexpr int64_t kChunkFlops = 1 << 15;
 /// (12 fp accumulator registers + 2 panel registers + 1 broadcast).
 constexpr int64_t kMR = 6;
 constexpr int64_t kNR = 16;
+
+/// Group id of the padding lanes past the sequence end in a partition
+/// plan (context is -1, groups count up from 0).
+constexpr int32_t kPadGroup = -2;
 
 /// Transpose / packing block edge: a 32x32 float block is 4 KiB per
 /// side, so both the row-major reads and the column-major writes of a
@@ -63,6 +68,72 @@ AlignedBuffer& RowScratch(size_t n) {
   if (buf.size() < n) buf = AlignedBuffer(n);
   return buf;
 }
+
+/// Thread-local scratch for one additive bias row that a mask rule
+/// computes on the fly.
+AlignedBuffer& BiasRowScratch(size_t n) {
+  thread_local AlignedBuffer buf;
+  if (buf.size() < n) buf = AlignedBuffer(n);
+  return buf;
+}
+
+/// Bias-row sources for the dense attention sweep. A source maps query
+/// row i to its additive [tk] bias row, or to null for no bias. The
+/// sweep adds the row with the same arithmetic whatever its source, so
+/// a rule computed from ids is bitwise equal to its materialized tensor.
+struct DenseBiasRows {
+  const float* bias;
+  int64_t tk;
+  const float* operator()(int64_t i) const {
+    return bias != nullptr ? bias + i * tk : nullptr;
+  }
+};
+
+/// kRowOrColumn's bias row for query i, keys [j0, t): MaskVisible
+/// unrolled into a branch-free loop over the ids (the AVX2 tier runs
+/// the same logic eight keys at a time, RowOrColumnBiasRowAvx2).
+void RowOrColumnBiasRow(const MaskView& m, int64_t i, int64_t j0, int64_t t,
+                        float* __restrict out) {
+  const int32_t ri = m.row[i], ci = m.column[i];
+  // A non-positive id names no row (column), so it matches nothing.
+  const int32_t use_r = ri > 0 ? -1 : 0;
+  const int32_t use_c = ci > 0 ? -1 : 0;
+  const bool context = ri == 0 && ci == 0;
+  for (int64_t j = j0; j < t; ++j) {
+    const int32_t rj = m.row[j], cj = m.column[j];
+    const bool visible = context || (rj | cj) == 0 ||
+                         ((rj == ri ? -1 : 0) & use_r) != 0 ||
+                         ((cj == ci ? -1 : 0) & use_c) != 0;
+    out[j] = visible ? 0.0f : kMaskedScore;
+  }
+  out[i] = 0.0f;
+}
+
+/// Fills a query's additive bias row from a mask rule: the bias-row
+/// source the kRowOrColumn sweeps use (see DenseBiasRows).
+using BiasRowFill = void (*)(const MaskView&, int64_t i, int64_t t,
+                             float* out);
+
+void MaskBiasRowScalar(const MaskView& m, int64_t i, int64_t t, float* out) {
+  if (m.rule == MaskRule::kRowOrColumn) {
+    RowOrColumnBiasRow(m, i, 0, t, out);
+    return;
+  }
+  for (int64_t j = 0; j < t; ++j) {
+    out[j] = MaskVisible(m, i, j) ? 0.0f : kMaskedScore;
+  }
+}
+
+struct MaskBiasRows {
+  const MaskView* mask;
+  int64_t t;
+  BiasRowFill fill = &MaskBiasRowScalar;
+  const float* operator()(int64_t i) const {
+    float* row = BiasRowScratch(static_cast<size_t>(t)).data();
+    fill(*mask, i, t, row);
+    return row;
+  }
+};
 
 SimdLevel DetectSimdLevel() {
   SimdLevel best = SimdLevel::kScalar;
@@ -249,6 +320,70 @@ __attribute__((target("avx2,fma"))) inline __m256 Tanh256(__m256 x) {
   return _mm256_div_ps(_mm256_sub_ps(e, one), _mm256_add_ps(e, one));
 }
 
+/// RowOrColumnBiasRow eight keys at a time (integer compares; the bias
+/// values are exact, so the tier cannot change the sweep's bits).
+__attribute__((target("avx2"))) void RowOrColumnBiasRowAvx2(
+    const MaskView& m, int64_t i, int64_t t, float* out) {
+  const int32_t ri = m.row[i], ci = m.column[i];
+  if (ri == 0 && ci == 0) {
+    std::fill_n(out, t, 0.0f);
+    return;
+  }
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i vri = _mm256_set1_epi32(ri);
+  const __m256i vci = _mm256_set1_epi32(ci);
+  const __m256i use_r = _mm256_set1_epi32(ri > 0 ? -1 : 0);
+  const __m256i use_c = _mm256_set1_epi32(ci > 0 ? -1 : 0);
+  const __m256 masked = _mm256_set1_ps(kMaskedScore);
+  int64_t j = 0;
+  for (; j + 8 <= t; j += 8) {
+    const __m256i rj =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m.row + j));
+    const __m256i cj =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m.column + j));
+    __m256i visible = _mm256_cmpeq_epi32(_mm256_or_si256(rj, cj), zero);
+    visible = _mm256_or_si256(
+        visible, _mm256_and_si256(_mm256_cmpeq_epi32(rj, vri), use_r));
+    visible = _mm256_or_si256(
+        visible, _mm256_and_si256(_mm256_cmpeq_epi32(cj, vci), use_c));
+    _mm256_storeu_ps(out + j,
+                     _mm256_andnot_ps(_mm256_castsi256_ps(visible), masked));
+  }
+  // The tail runs baseline SSE code: leave the upper halves clean first
+  // (GCC omits the vzeroupper before a tail call, and the sweep that
+  // resumes afterwards is SSE code too).
+  _mm256_zeroupper();
+  RowOrColumnBiasRow(m, i, j, t, out);
+}
+
+/// The partition kernel's scale-and-mask pass over `n` lanes (a multiple
+/// of 8) of a compact score row whose keys have plan groups `groups`: a
+/// query in group g >= 0 keeps context and group-g keys, a context query
+/// (g = -1) keeps every key but the padding. Kept lanes become s·scale
+/// (the dense kernel's product), the rest kMaskedScore.
+__attribute__((target("avx2"))) void MaskScaleLanesAvx2(
+    float* s, const int32_t* groups, int64_t n, int32_t g, float scale) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256 masked = _mm256_set1_ps(kMaskedScore);
+  const __m256i vg = _mm256_set1_epi32(g);
+  const __m256i context = _mm256_set1_epi32(-1);
+  const __m256i pad = _mm256_set1_epi32(kPadGroup);
+  for (int64_t l = 0; l < n; l += 8) {
+    const __m256i gp =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(groups + l));
+    const __m256 x = _mm256_mul_ps(_mm256_loadu_ps(s + l), vscale);
+    __m256 keep;
+    if (g < 0) {
+      keep = _mm256_castsi256_ps(_mm256_xor_si256(
+          _mm256_cmpeq_epi32(gp, pad), _mm256_set1_epi32(-1)));
+    } else {
+      keep = _mm256_castsi256_ps(_mm256_or_si256(
+          _mm256_cmpeq_epi32(gp, vg), _mm256_cmpeq_epi32(gp, context)));
+    }
+    _mm256_storeu_ps(s + l, _mm256_blendv_ps(masked, x, keep));
+  }
+}
+
 /// Stores the 16 accumulated columns of one output row, trimming to
 /// the panel's valid width.
 __attribute__((target("avx2"))) inline void StoreRow16(float* c, __m256 v0,
@@ -268,7 +403,11 @@ __attribute__((target("avx2"))) inline void StoreRow16(float* c, __m256 v0,
 /// 6x16 register-tiled microkernel: C[6,ncols] = A[6,k] · panel, where
 /// `bp` is a packed k-major 16-wide panel (zero-padded columns). Each
 /// output element accumulates over kk in ascending order, so results
-/// never depend on how row blocks were assigned to threads.
+/// never depend on how row blocks were assigned to threads. With
+/// kAccumulate the tile starts from the 16 columns already in C
+/// (ncols must be kNR): the masked attention kernel sums P·V over two
+/// key ranges this way.
+template <bool kAccumulate = false>
 __attribute__((target("avx2,fma"))) void MicroKernel6x16(
     const float* a, int64_t lda, const float* bp, int64_t k, float* c,
     int64_t ldc, int64_t ncols) {
@@ -278,6 +417,20 @@ __attribute__((target("avx2,fma"))) void MicroKernel6x16(
   __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
   __m256 acc40 = _mm256_setzero_ps(), acc41 = _mm256_setzero_ps();
   __m256 acc50 = _mm256_setzero_ps(), acc51 = _mm256_setzero_ps();
+  if constexpr (kAccumulate) {
+    acc00 = _mm256_loadu_ps(c + 0 * ldc);
+    acc01 = _mm256_loadu_ps(c + 0 * ldc + 8);
+    acc10 = _mm256_loadu_ps(c + 1 * ldc);
+    acc11 = _mm256_loadu_ps(c + 1 * ldc + 8);
+    acc20 = _mm256_loadu_ps(c + 2 * ldc);
+    acc21 = _mm256_loadu_ps(c + 2 * ldc + 8);
+    acc30 = _mm256_loadu_ps(c + 3 * ldc);
+    acc31 = _mm256_loadu_ps(c + 3 * ldc + 8);
+    acc40 = _mm256_loadu_ps(c + 4 * ldc);
+    acc41 = _mm256_loadu_ps(c + 4 * ldc + 8);
+    acc50 = _mm256_loadu_ps(c + 5 * ldc);
+    acc51 = _mm256_loadu_ps(c + 5 * ldc + 8);
+  }
   for (int64_t kk = 0; kk < k; ++kk) {
     const __m256 b0 = _mm256_load_ps(bp + kk * kNR);
     const __m256 b1 = _mm256_load_ps(bp + kk * kNR + 8);
@@ -552,15 +705,17 @@ __attribute__((target("avx2,fma"))) void LayerNormRowAvx2(
 /// columns: panel p holds bp[(p·k + kk)·16 + lane] = B[kk, p·16+lane].
 /// Each panel pass reads exactly one cache line per B row (the panel's
 /// 16 columns), the packing-side incarnation of the 32x32 blocked
-/// transpose below.
-void PackB(const float* b, int64_t k, int64_t n, float* bp) {
+/// transpose below. With `rows`, row kk of the packed operand is B's
+/// row rows[kk] (a gather in the masked attention kernel's key order).
+void PackB(const float* b, int64_t k, int64_t n, float* bp,
+           const int32_t* rows = nullptr) {
   const int64_t panels = (n + kNR - 1) / kNR;
   for (int64_t p = 0; p < panels; ++p) {
     const int64_t j0 = p * kNR;
     const int64_t w = std::min(kNR, n - j0);
     float* dst = bp + p * k * kNR;
     for (int64_t kk = 0; kk < k; ++kk) {
-      const float* src = b + kk * n + j0;
+      const float* src = b + (rows != nullptr ? rows[kk] : kk) * n + j0;
       float* d = dst + kk * kNR;
       int64_t j = 0;
       for (; j < w; ++j) d[j] = src[j];
@@ -602,8 +757,10 @@ void MatMulAvx2(const float* a, const float* b, float* c, int64_t m,
 /// bp[(p*k_rows... )] such that lane = row index of `b` ([rows, k]
 /// row-major), k-major over k. This is PackB applied to the transpose
 /// of `b` without materializing it: the attention score pass
-/// multiplies Q[*,dk] against K^T via these panels.
-void PackBT(const float* b, int64_t rows, int64_t k, float* bp) {
+/// multiplies Q[*,dk] against K^T via these panels. With `order`, lane
+/// r of the packed operand is row order[r] of `b`.
+void PackBT(const float* b, int64_t rows, int64_t k, float* bp,
+            const int32_t* order = nullptr) {
   const int64_t panels = (rows + kNR - 1) / kNR;
   for (int64_t p = 0; p < panels; ++p) {
     const int64_t r0 = p * kNR;
@@ -612,7 +769,11 @@ void PackBT(const float* b, int64_t rows, int64_t k, float* bp) {
     for (int64_t kk = 0; kk < k; ++kk) {
       float* d = dst + kk * kNR;
       int64_t lane = 0;
-      for (; lane < w; ++lane) d[lane] = b[(r0 + lane) * k + kk];
+      if (order == nullptr) {
+        for (; lane < w; ++lane) d[lane] = b[(r0 + lane) * k + kk];
+      } else {
+        for (; lane < w; ++lane) d[lane] = b[order[r0 + lane] * k + kk];
+      }
       for (; lane < kNR; ++lane) d[lane] = 0.0f;
     }
   }
@@ -622,11 +783,13 @@ void PackBT(const float* b, int64_t rows, int64_t k, float* bp) {
 /// 6x16 microkernels as MatMul — score tiles against packed-K^T
 /// panels, softmax rows in place, context tiles against packed-V
 /// panels. Only kMR score rows are live at a time unless the caller
-/// captures them.
-void FusedAttentionAvx2(const float* q, const float* k, const float* v,
-                        const float* bias, float scale, int64_t tq,
-                        int64_t tk, int64_t dk, int64_t dv, float* out,
-                        float* probs_out) {
+/// captures them. `bias_rows` supplies each query row's additive bias
+/// (DenseBiasRows / MaskBiasRows).
+template <typename BiasRows>
+void FusedAttentionAvx2Sweep(const float* q, const float* k, const float* v,
+                             BiasRows bias_rows, float scale, int64_t tq,
+                             int64_t tk, int64_t dk, int64_t dv, float* out,
+                             float* probs_out) {
   const int64_t kpanels = (tk + kNR - 1) / kNR;
   const int64_t vpanels = (dv + kNR - 1) / kNR;
   // Both packs happen once, on the calling thread, before the parallel
@@ -659,8 +822,7 @@ void FusedAttentionAvx2(const float* q, const float* k, const float* v,
     }
     for (int64_t r = 0; r < nrows; ++r) {
       float* s = srows + r * tk;
-      if (bias != nullptr) {
-        const float* brow = bias + (i0 + r) * tk;
+      if (const float* brow = bias_rows(i0 + r)) {
         for (int64_t j = 0; j < tk; ++j) s[j] = s[j] * scale + brow[j];
       } else {
         for (int64_t j = 0; j < tk; ++j) s[j] *= scale;
@@ -691,6 +853,235 @@ void FusedAttentionAvx2(const float* q, const float* k, const float* v,
   });
   const int64_t tail0 = full_blocks * kMR;
   if (tail0 < tq) process_rows(tail0, tq - tail0);
+}
+
+void FusedAttentionAvx2(const float* q, const float* k, const float* v,
+                        const float* bias, float scale, int64_t tq,
+                        int64_t tk, int64_t dk, int64_t dv, float* out,
+                        float* probs_out) {
+  FusedAttentionAvx2Sweep(q, k, v, DenseBiasRows{bias, tk}, scale, tq, tk, dk,
+                          dv, out, probs_out);
+}
+
+/// Token order of a partition rule (kSameRow, kSameColumn, kSameGroup):
+/// context tokens first, then the groups in ascending id, then the
+/// tokens the rule puts in no group (headers under kSameRow, separators
+/// under kSameColumn) as singletons; sequence order inside each. A
+/// non-context query at position p sees exactly the positions
+/// [0, num_context) ∪ [lo[p], hi[p]); a context query sees all of them.
+/// Lives in the calling thread's plan scratch; built before the
+/// parallel region, read-only inside it.
+struct PartitionPlan {
+  int64_t num_context = 0;
+  int32_t* order = nullptr;  // position -> token index
+  int32_t* lo = nullptr;     // position -> first position of its group
+  int32_t* hi = nullptr;     // position -> one past its group's last
+  /// position -> group id, -1 = context; padded to whole 16-key panels
+  /// with kPadGroup, which no query's group equals.
+  int32_t* group = nullptr;
+};
+
+PartitionPlan BuildPartitionPlan(const MaskView& m, int64_t t) {
+  constexpr int64_t kContext = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kSingleton = std::numeric_limits<int64_t>::max();
+  thread_local std::vector<int64_t> keys;
+  thread_local std::vector<int32_t> ids, counts;
+  const size_t n = static_cast<size_t>(t);
+  const size_t padded = (n + kNR - 1) / kNR * kNR;
+  if (keys.size() < n) keys.resize(n);
+  if (ids.size() < 3 * n + padded) ids.resize(3 * n + padded);
+  int64_t* key = keys.data();
+  PartitionPlan plan;
+  plan.order = ids.data();
+  plan.lo = plan.order + n;
+  plan.hi = plan.lo + n;
+  plan.group = plan.hi + n;
+  int64_t min_id = std::numeric_limits<int64_t>::max();
+  int64_t max_id = std::numeric_limits<int64_t>::min();
+  for (int64_t i = 0; i < t; ++i) {
+    const int32_t r = m.row[i], c = m.column[i];
+    if (m.rule == MaskRule::kSameGroup) {
+      key[i] = c;
+    } else if (r == 0 && c == 0) {
+      key[i] = kContext;
+    } else {
+      const int32_t id = m.rule == MaskRule::kSameRow ? r : c;
+      key[i] = id > 0 ? id : kSingleton;
+    }
+    if (key[i] != kContext && key[i] != kSingleton) {
+      min_id = std::min(min_id, key[i]);
+      max_id = std::max(max_id, key[i]);
+    }
+  }
+  // Order by (key, index). Table row and column ids count up from 1, so
+  // a stable counting sort over the id range does it in O(t); ids
+  // spread wider than that fall back to a comparison sort.
+  if (max_id < min_id || max_id - min_id < 4 * t) {
+    const int64_t range = max_id < min_id ? 0 : max_id - min_id + 1;
+    auto bucket = [&](int64_t i) -> int64_t {
+      if (key[i] == kContext) return 0;
+      if (key[i] == kSingleton) return range + 1;
+      return 1 + key[i] - min_id;
+    };
+    counts.assign(static_cast<size_t>(range + 3), 0);
+    for (int64_t i = 0; i < t; ++i) ++counts[bucket(i) + 1];
+    for (int64_t b = 1; b < range + 3; ++b) counts[b] += counts[b - 1];
+    for (int64_t i = 0; i < t; ++i) {
+      plan.order[counts[bucket(i)]++] = static_cast<int32_t>(i);
+    }
+  } else {
+    for (int64_t i = 0; i < t; ++i) plan.order[i] = static_cast<int32_t>(i);
+    std::sort(plan.order, plan.order + t, [key](int32_t a, int32_t b) {
+      return key[a] != key[b] ? key[a] < key[b] : a < b;
+    });
+  }
+  int32_t gid = -1;
+  for (int64_t p = 0; p < t; ++p) {
+    const int64_t kp = key[plan.order[p]];
+    if (kp == kContext) {
+      plan.group[p] = -1;
+      ++plan.num_context;
+      continue;
+    }
+    if (p == 0 || kp == kSingleton || kp != key[plan.order[p - 1]]) ++gid;
+    plan.group[p] = gid;
+  }
+  std::fill(plan.group + t, plan.group + padded, kPadGroup);
+  for (int64_t p = 0; p < t;) {
+    int64_t e = p + 1;
+    while (e < t && plan.group[e] == plan.group[p]) ++e;
+    for (int64_t x = p; x < e; ++x) {
+      plan.lo[x] = static_cast<int32_t>(p);
+      plan.hi[x] = static_cast<int32_t>(e);
+    }
+    p = e;
+  }
+  return plan;
+}
+
+/// AVX2 partition-rule attention. K^T and V are packed once in the
+/// plan's order, so context keys fill the first panels and each group's
+/// keys are contiguous. Queries run in blocks of kMR consecutive plan
+/// positions: context queries sweep every panel, the rest score only
+/// the context panels plus the panels spanning their block's groups
+/// (about 6 of 32 panels for a MATE row head at T=512), mask the lanes
+/// outside each query's group, and sum P·V over the same two panel
+/// ranges. In sequence order this saves nothing: a context separator
+/// every row puts a visible key in every 16-key panel.
+void MaskedAttentionPartitionAvx2(const float* q, const float* k,
+                                  const float* v, const MaskView& mask,
+                                  float scale, int64_t t, int64_t dk,
+                                  int64_t dv, float* out, float* probs_out) {
+  const PartitionPlan plan = BuildPartitionPlan(mask, t);
+  const int64_t kpanels = (t + kNR - 1) / kNR;
+  const int64_t vpanels = (dv + kNR - 1) / kNR;
+  const int64_t dvp = vpanels * kNR;
+  AlignedBuffer& kp_buf = PackScratch(static_cast<size_t>(kpanels * dk * kNR));
+  PackBT(k, t, dk, kp_buf.data(), plan.order);
+  AlignedBuffer& vp_buf = PackScratch2(static_cast<size_t>(vpanels * t * kNR));
+  PackB(v, t, dv, vp_buf.data(), plan.order);
+  const float* kp = kp_buf.data();
+  const float* vp = vp_buf.data();
+  const int64_t nctx = plan.num_context;
+  const int64_t ctx_panels = (nctx + kNR - 1) / kNR;
+  const int64_t ctx_blocks = (nctx + kMR - 1) / kMR;
+  const int64_t blocks = ctx_blocks + (t - nctx + kMR - 1) / kMR;
+
+  auto process_block = [&](int64_t blk) {
+    const bool ctx = blk < ctx_blocks;
+    const int64_t p0 = ctx ? blk * kMR : nctx + (blk - ctx_blocks) * kMR;
+    const int64_t nrows = std::min(kMR, (ctx ? nctx : t) - p0);
+    // Key panels [0, a1) ∪ [b0, b1), in score-row order.
+    int64_t a1 = kpanels, b0 = 0, b1 = 0;
+    if (!ctx) {
+      a1 = ctx_panels;
+      b0 = plan.lo[p0] / kNR;
+      b1 = (plan.hi[p0 + nrows - 1] + kNR - 1) / kNR;
+      if (b0 <= a1) {
+        a1 = std::max(a1, b1);
+        b0 = b1 = 0;
+      }
+    }
+    const int64_t width = (a1 + b1 - b0) * kNR;
+    float* srows =
+        RowScratch(static_cast<size_t>(kMR * (kpanels * kNR + dk + dvp)))
+            .data();
+    float* qrows = srows + kMR * width;
+    float* orows = qrows + kMR * dk;
+    // Short blocks pad with zero queries; each row of the 6x16 tile is
+    // independent, so padding never changes the real rows' bits.
+    for (int64_t r = 0; r < kMR; ++r) {
+      float* dst = qrows + r * dk;
+      if (r < nrows) {
+        std::memcpy(dst, q + plan.order[p0 + r] * dk,
+                    static_cast<size_t>(dk) * sizeof(float));
+      } else {
+        std::fill_n(dst, dk, 0.0f);
+      }
+    }
+    auto position = [&](int64_t lane) {
+      return lane < a1 * kNR ? lane : b0 * kNR + lane - a1 * kNR;
+    };
+    for (int64_t p = 0; p < a1; ++p) {
+      MicroKernel6x16(qrows, dk, kp + p * dk * kNR, dk, srows + p * kNR,
+                      width, kNR);
+    }
+    for (int64_t p = b0; p < b1; ++p) {
+      MicroKernel6x16(qrows, dk, kp + p * dk * kNR, dk,
+                      srows + (a1 + p - b0) * kNR, width, kNR);
+    }
+    for (int64_t r = 0; r < kMR; ++r) {
+      const int32_t g = ctx ? -1 : plan.group[p0 + std::min(r, nrows - 1)];
+      float* s = srows + r * width;
+      MaskScaleLanesAvx2(s, plan.group, a1 * kNR, g, scale);
+      MaskScaleLanesAvx2(s + a1 * kNR, plan.group + b0 * kNR,
+                         (b1 - b0) * kNR, g, scale);
+      SoftmaxRowAvx2(s, width);
+    }
+    const int64_t a_len = std::min(a1 * kNR, t);
+    const int64_t b_len = b1 > b0 ? std::min(b1 * kNR, t) - b0 * kNR : 0;
+    for (int64_t p = 0; p < vpanels; ++p) {
+      const float* panel = vp + p * t * kNR;
+      MicroKernel6x16(srows, width, panel, a_len, orows + p * kNR, dvp, kNR);
+      if (b_len > 0) {
+        MicroKernel6x16<true>(srows + a1 * kNR, width, panel + b0 * kNR * kNR,
+                              b_len, orows + p * kNR, dvp, kNR);
+      }
+    }
+    for (int64_t r = 0; r < nrows; ++r) {
+      const int64_t tok = plan.order[p0 + r];
+      std::memcpy(out + tok * dv, orows + r * dvp,
+                  static_cast<size_t>(dv) * sizeof(float));
+      if (probs_out == nullptr) continue;
+      float* prow = probs_out + tok * t;
+      std::fill_n(prow, t, 0.0f);
+      const float* s = srows + r * width;
+      for (int64_t lane = 0; lane < width; ++lane) {
+        const int64_t pos = position(lane);
+        if (pos < t) prow[plan.order[pos]] = s[lane];
+      }
+    }
+  };
+
+  const int64_t grain =
+      GrainForFlopsPerRow(kMR * (ctx_panels + 2) * kNR * (dk + dv));
+  runtime::ParallelFor(0, blocks, grain, [&](int64_t lo, int64_t hi) {
+    for (int64_t blk = lo; blk < hi; ++blk) process_block(blk);
+  });
+}
+
+void MaskedAttentionAvx2(const float* q, const float* k, const float* v,
+                         const MaskView& mask, float scale, int64_t t,
+                         int64_t dk, int64_t dv, float* out,
+                         float* probs_out) {
+  if (mask.rule == MaskRule::kRowOrColumn) {
+    FusedAttentionAvx2Sweep(q, k, v,
+                            MaskBiasRows{&mask, t, &RowOrColumnBiasRowAvx2},
+                            scale, t, t, dk, dv, out, probs_out);
+  } else {
+    MaskedAttentionPartitionAvx2(q, k, v, mask, scale, t, dk, dv, out,
+                                 probs_out);
+  }
 }
 
 #endif  // TABREP_KERNELS_X86
@@ -776,10 +1167,11 @@ void TransposeBlocked(const float* a, float* out, int64_t m, int64_t n) {
   }
 }
 
-void FusedAttentionScalarPar(const float* q, const float* k, const float* v,
-                             const float* bias, float scale, int64_t tq,
-                             int64_t tk, int64_t dk, int64_t dv, float* out,
-                             float* probs_out) {
+template <typename BiasRows>
+void FusedAttentionScalarSweep(const float* q, const float* k, const float* v,
+                               BiasRows bias_rows, float scale, int64_t tq,
+                               int64_t tk, int64_t dk, int64_t dv, float* out,
+                               float* probs_out) {
   const int64_t grain = GrainForFlopsPerRow(tk * (dk + dv));
   runtime::ParallelFor(0, tq, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
@@ -790,8 +1182,7 @@ void FusedAttentionScalarPar(const float* q, const float* k, const float* v,
                      ? probs_out + i * tk
                      : RowScratch(static_cast<size_t>(tk)).data();
       MatMulTBRowScalar(q + i * dk, k, s, dk, tk);
-      if (bias != nullptr) {
-        const float* brow = bias + i * tk;
+      if (const float* brow = bias_rows(i)) {
         for (int64_t j = 0; j < tk; ++j) s[j] = s[j] * scale + brow[j];
       } else {
         for (int64_t j = 0; j < tk; ++j) s[j] *= scale;
@@ -800,6 +1191,25 @@ void FusedAttentionScalarPar(const float* q, const float* k, const float* v,
       ContextRowScalar(s, v, out + i * dv, tk, dv);
     }
   });
+}
+
+void FusedAttentionScalarPar(const float* q, const float* k, const float* v,
+                             const float* bias, float scale, int64_t tq,
+                             int64_t tk, int64_t dk, int64_t dv, float* out,
+                             float* probs_out) {
+  FusedAttentionScalarSweep(q, k, v, DenseBiasRows{bias, tk}, scale, tq, tk,
+                            dk, dv, out, probs_out);
+}
+
+/// The portable tier keeps the dense sweep for every rule, with bias
+/// rows computed from the ids: bitwise equal to FusedAttentionScalarPar
+/// on the materialized bias. Panel skipping is the AVX2 tier's.
+void MaskedAttentionScalar(const float* q, const float* k, const float* v,
+                           const MaskView& mask, float scale, int64_t t,
+                           int64_t dk, int64_t dv, float* out,
+                           float* probs_out) {
+  FusedAttentionScalarSweep(q, k, v, MaskBiasRows{&mask, t}, scale, t, t, dk,
+                            dv, out, probs_out);
 }
 
 // ======================================================================
@@ -831,6 +1241,10 @@ struct Registry {
                            const float*, float, int64_t, int64_t, int64_t,
                            int64_t, float*, float*)>
       attention;
+  detail::OpEntry<void (*)(const float*, const float*, const float*,
+                           const MaskView&, float, int64_t, int64_t, int64_t,
+                           float*, float*)>
+      masked_attention;
 
   template <typename V>
   void ForEach(V&& visit) {
@@ -848,6 +1262,7 @@ struct Registry {
     visit(log_softmax_row);
     visit(layernorm_row);
     visit(attention);
+    visit(masked_attention);
   }
 };
 
@@ -878,6 +1293,9 @@ Registry BuildRegistry() {
   r.attention = {"attention",
                  {{SL::kNaive, "naive", &naive::FusedAttention},
                   {SL::kScalar, "scalar", &FusedAttentionScalarPar}}};
+  r.masked_attention = {"masked_attention",
+                        {{SL::kNaive, "naive", &naive::MaskedAttention},
+                         {SL::kScalar, "scalar", &MaskedAttentionScalar}}};
 #if TABREP_KERNELS_X86
   r.scale.variants.push_back({SL::kAvx2, "avx2", &ScaleAvx2});
   r.axpy.variants.push_back({SL::kAvx2, "avx2", &AxpyAvx2});
@@ -892,6 +1310,8 @@ Registry BuildRegistry() {
   r.log_softmax_row.variants.push_back({SL::kAvx2, "avx2", &LogSoftmaxRowAvx2});
   r.layernorm_row.variants.push_back({SL::kAvx2, "avx2", &LayerNormRowAvx2});
   r.attention.variants.push_back({SL::kAvx2, "avx2", &FusedAttentionAvx2});
+  r.masked_attention.variants.push_back(
+      {SL::kAvx2, "avx2", &MaskedAttentionAvx2});
 #endif
   const SimdLevel cap = ActiveSimdLevel();
   r.ForEach([cap](auto& entry) { entry.Resolve(cap); });
@@ -1069,6 +1489,17 @@ void FusedAttention(const float* q, const float* k, const float* v,
   Reg().attention.fn(q, k, v, bias, scale, tq, tk, dk, dv, out, probs_out);
 }
 
+void MaskedAttention(const float* q, const float* k, const float* v,
+                     const MaskView& mask, float scale, int64_t t, int64_t dk,
+                     int64_t dv, float* out, float* probs_out) {
+  if (t <= 0) return;
+  if (mask.rule == MaskRule::kNone) {
+    FusedAttention(q, k, v, nullptr, scale, t, t, dk, dv, out, probs_out);
+    return;
+  }
+  Reg().masked_attention.fn(q, k, v, mask, scale, t, dk, dv, out, probs_out);
+}
+
 // ======================================================================
 // Naive references.
 // ======================================================================
@@ -1124,22 +1555,42 @@ void Gelu(float* out, const float* a, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = GeluScalar(a[i]);
 }
 
-void FusedAttention(const float* q, const float* k, const float* v,
-                    const float* bias, float scale, int64_t tq, int64_t tk,
-                    int64_t dk, int64_t dv, float* out, float* probs_out) {
+namespace {
+
+template <typename BiasRows>
+void AttentionRows(const float* q, const float* k, const float* v,
+                   BiasRows bias_rows, float scale, int64_t tq, int64_t tk,
+                   int64_t dk, int64_t dv, float* out, float* probs_out) {
   mem::ScratchScope scratch;
   float* scores = mem::ArenaFloats(static_cast<size_t>(tk));
   for (int64_t i = 0; i < tq; ++i) {
     float* s = probs_out != nullptr ? probs_out + i * tk : scores;
     MatMulTBRowScalar(q + i * dk, k, s, dk, tk);
+    const float* brow = bias_rows(i);
     for (int64_t j = 0; j < tk; ++j) {
-      s[j] = s[j] * scale + (bias != nullptr ? bias[i * tk + j] : 0.0f);
+      s[j] = s[j] * scale + (brow != nullptr ? brow[j] : 0.0f);
     }
     SoftmaxRowScalar(s, tk);
     float* orow = out + i * dv;
     std::fill_n(orow, static_cast<size_t>(dv), 0.0f);
     for (int64_t j = 0; j < tk; ++j) AxpyScalar(orow, v + j * dv, s[j], dv);
   }
+}
+
+}  // namespace
+
+void FusedAttention(const float* q, const float* k, const float* v,
+                    const float* bias, float scale, int64_t tq, int64_t tk,
+                    int64_t dk, int64_t dv, float* out, float* probs_out) {
+  AttentionRows(q, k, v, DenseBiasRows{bias, tk}, scale, tq, tk, dk, dv, out,
+                probs_out);
+}
+
+void MaskedAttention(const float* q, const float* k, const float* v,
+                     const MaskView& mask, float scale, int64_t t, int64_t dk,
+                     int64_t dv, float* out, float* probs_out) {
+  AttentionRows(q, k, v, MaskBiasRows{&mask, t}, scale, t, t, dk, dv, out,
+                probs_out);
 }
 
 }  // namespace naive

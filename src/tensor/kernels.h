@@ -154,6 +154,76 @@ void FusedAttention(const float* q, const float* k, const float* v,
                     const float* bias, float scale, int64_t tq, int64_t tk,
                     int64_t dk, int64_t dv, float* out, float* probs_out);
 
+// -- Structure-masked self-attention ------------------------------------
+
+/// Additive pre-softmax score of a masked pair. Dense bias tensors use
+/// it for masked entries, and the masked kernels give masked pairs
+/// exactly this score, so both routes round masked probabilities to 0.
+inline constexpr float kMaskedScore = -1e9f;
+
+/// Which key positions a query may attend to, decided from per-token
+/// row and column ids (serialize::TokenInfo: 0 = none). A token with
+/// row == column == 0 is *context* (CLS, title, separators): it sees
+/// every token and every token sees it, under every rule but kSameGroup.
+enum class MaskRule : uint8_t {
+  kNone,         // every pair (vanilla, TAPAS)
+  kSameRow,      // MATE row heads: same row (> 0), plus context and self
+  kSameColumn,   // MATE column heads: same column (> 0), plus context, self
+  kRowOrColumn,  // TURL: same row or same column, plus context and self
+  kSameGroup,    // equal column ids, nothing else (TaBERT vertical
+                 // attention over cells grouped by column)
+};
+
+/// Non-owning view of one head's mask over a self-attention sequence:
+/// `row` and `column` hold t ids each (unused for kNone).
+struct MaskView {
+  MaskRule rule = MaskRule::kNone;
+  const int32_t* row = nullptr;
+  const int32_t* column = nullptr;
+};
+
+/// The rule as a predicate: may query i attend to key j? The single
+/// definition every kernel tier, Materialize() and the tests share.
+inline bool MaskVisible(const MaskView& m, int64_t i, int64_t j) {
+  if (m.rule == MaskRule::kNone) return true;
+  const int32_t ri = m.row[i], rj = m.row[j];
+  const int32_t ci = m.column[i], cj = m.column[j];
+  if (m.rule == MaskRule::kSameGroup) return ci == cj;
+  if (i == j || (ri == 0 && ci == 0) || (rj == 0 && cj == 0)) return true;
+  const bool same_row = ri > 0 && ri == rj;
+  const bool same_col = ci > 0 && ci == cj;
+  switch (m.rule) {
+    case MaskRule::kSameRow:
+      return same_row;
+    case MaskRule::kSameColumn:
+      return same_col;
+    default:
+      return same_row || same_col;
+  }
+}
+
+/// Self-attention softmax(scale · Q Kᵀ + mask) · V over t tokens, with
+/// the mask given as structure instead of a [t,t] bias tensor:
+///   - kNone runs FusedAttention with no bias (bitwise the dense path).
+///   - kRowOrColumn sweeps every key like FusedAttention and adds
+///     0 / kMaskedScore computed from the ids: bitwise equal to
+///     FusedAttention on the materialized bias.
+///   - The partition rules (kSameRow, kSameColumn, kSameGroup) give
+///     every query the context keys plus its own group. The avx2 tier
+///     orders tokens context-first, then by group, packs K^T and V once
+///     in that order, and lets each query block score only the key
+///     panels that cover context ∪ its groups. Equal to the dense
+///     kernel within the naive reference's tolerance (the softmax sum
+///     and the context accumulation visit fewer keys in another order).
+///     The scalar tier sweeps every key with computed bias rows, like
+///     kRowOrColumn.
+/// Masked probabilities in `probs_out` (t x t, may be null) are exactly
+/// 0. Outputs are bitwise identical at any thread count and with
+/// probs_out on or off.
+void MaskedAttention(const float* q, const float* k, const float* v,
+                     const MaskView& mask, float scale, int64_t t, int64_t dk,
+                     int64_t dv, float* out, float* probs_out);
+
 // -- Naive references ---------------------------------------------------
 //
 // The retained scalar reference semantics: serial triple loops,
@@ -176,6 +246,12 @@ void Gelu(float* out, const float* a, int64_t n);
 void FusedAttention(const float* q, const float* k, const float* v,
                     const float* bias, float scale, int64_t tq, int64_t tk,
                     int64_t dk, int64_t dv, float* out, float* probs_out);
+/// naive::FusedAttention on the mask's bias rows (0 / kMaskedScore),
+/// built one row at a time: bitwise equal to the dense reference on
+/// the materialized [t,t] bias.
+void MaskedAttention(const float* q, const float* k, const float* v,
+                     const MaskView& mask, float scale, int64_t t, int64_t dk,
+                     int64_t dv, float* out, float* probs_out);
 
 }  // namespace naive
 

@@ -139,8 +139,13 @@ Tensor Transpose(const Tensor& a) {
   return out;
 }
 
-Tensor ScaledDotAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                          const Tensor* bias, float scale, Tensor* probs_out) {
+namespace {
+
+/// Shape checks, span and counters shared by the dense-bias and masked
+/// attention entry points; `kernel(out, probs)` runs the kernel.
+template <typename Kernel>
+Tensor AttentionOp(const Tensor& q, const Tensor& k, const Tensor& v,
+                   Tensor* probs_out, Kernel&& kernel) {
   TABREP_CHECK(q.dim() == 2 && k.dim() == 2 && v.dim() == 2)
       << "ScaledDotAttention: 2-D q/k/v required";
   TABREP_CHECK(q.cols() == k.cols())
@@ -149,11 +154,6 @@ Tensor ScaledDotAttention(const Tensor& q, const Tensor& k, const Tensor& v,
   TABREP_CHECK(k.rows() == v.rows())
       << "ScaledDotAttention: " << ShapeToString(k.shape()) << " vs "
       << ShapeToString(v.shape());
-  const int64_t tq = q.rows(), dk = q.cols(), tk = k.rows(), dv = v.cols();
-  if (bias != nullptr) {
-    TABREP_CHECK(bias->dim() == 2 && bias->rows() == tq && bias->cols() == tk)
-        << "ScaledDotAttention: bias " << ShapeToString(bias->shape());
-  }
   TABREP_TRACE_SPAN("ops.fused_attention");
   static obs::Counter& calls =
       obs::Registry::Get().counter("tabrep.ops.fused_attention.calls");
@@ -161,16 +161,42 @@ Tensor ScaledDotAttention(const Tensor& q, const Tensor& k, const Tensor& v,
       obs::Registry::Get().histogram("tabrep.ops.fused_attention.us");
   calls.Increment();
   obs::ScopedTimer timer(duration_us);
-  Tensor out({tq, dv});
+  Tensor out({q.rows(), v.cols()});
   float* probs = nullptr;
   if (probs_out != nullptr) {
-    *probs_out = Tensor({tq, tk});
+    *probs_out = Tensor({q.rows(), k.rows()});
     probs = probs_out->data();
   }
-  kernels::FusedAttention(q.data(), k.data(), v.data(),
-                          bias != nullptr ? bias->data() : nullptr, scale, tq,
-                          tk, dk, dv, out.data(), probs);
+  kernel(out.data(), probs);
   return out;
+}
+
+}  // namespace
+
+Tensor ScaledDotAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          const Tensor* bias, float scale, Tensor* probs_out) {
+  const int64_t tq = q.rows(), dk = q.cols(), tk = k.rows(), dv = v.cols();
+  if (bias != nullptr) {
+    TABREP_CHECK(bias->dim() == 2 && bias->rows() == tq && bias->cols() == tk)
+        << "ScaledDotAttention: bias " << ShapeToString(bias->shape());
+  }
+  return AttentionOp(q, k, v, probs_out, [&](float* out, float* probs) {
+    kernels::FusedAttention(q.data(), k.data(), v.data(),
+                            bias != nullptr ? bias->data() : nullptr, scale,
+                            tq, tk, dk, dv, out, probs);
+  });
+}
+
+Tensor ScaledDotAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          const kernels::MaskView& mask, float scale,
+                          Tensor* probs_out) {
+  TABREP_CHECK(q.rows() == k.rows())
+      << "ScaledDotAttention: a mask needs self-attention, got "
+      << q.rows() << " queries over " << k.rows() << " keys";
+  return AttentionOp(q, k, v, probs_out, [&](float* out, float* probs) {
+    kernels::MaskedAttention(q.data(), k.data(), v.data(), mask, scale,
+                             q.rows(), q.cols(), v.cols(), out, probs);
+  });
 }
 
 Tensor Softmax(const Tensor& a) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 
 namespace tabrep::ops {
@@ -57,6 +58,14 @@ Tensor Transpose(const Tensor& a);
 /// way.
 Tensor ScaledDotAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                           const Tensor* bias, float scale,
+                          Tensor* probs_out = nullptr);
+
+/// Self-attention (tq == tk) under a structure mask instead of a bias
+/// tensor (kernels::MaskedAttention): masked probabilities in
+/// `probs_out` are exactly 0, and a kNone mask is the dense path above
+/// with no bias, bit for bit.
+Tensor ScaledDotAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          const kernels::MaskView& mask, float scale,
                           Tensor* probs_out = nullptr);
 
 // -- Reductions / normalization -----------------------------------------

@@ -250,6 +250,240 @@ TEST(KernelsTest, FusedAttentionThreadCountInvariantBitwise) {
   EXPECT_EQ(std::memcmp(o1.data(), o4.data(), o1.size() * sizeof(float)), 0);
 }
 
+// -- Structure-masked attention -------------------------------------------
+
+/// One token layout for the mask rules: per-token row and column ids.
+struct MaskCase {
+  std::string name;
+  std::vector<int32_t> row, col;
+  int64_t size() const { return static_cast<int64_t>(row.size()); }
+};
+
+/// A serialized-table-like layout: a context prefix, a header row
+/// ((0,c) tokens split by (0,0) pipes), data rows of multi-token cells
+/// ((r,c)) split by (r,0) separators, and a (0,0) SEP after each row.
+MaskCase TableLayout(Rng& rng, int64_t rows, int64_t cols) {
+  MaskCase m{"table " + std::to_string(rows) + "x" + std::to_string(cols),
+             {}, {}};
+  auto push = [&m](int32_t r, int32_t c) {
+    m.row.push_back(r);
+    m.col.push_back(c);
+  };
+  const int64_t prefix = 1 + static_cast<int64_t>(rng.NextU64() % 6);
+  for (int64_t i = 0; i < prefix; ++i) push(0, 0);
+  for (int64_t r = 0; r <= rows; ++r) {
+    for (int64_t c = 1; c <= cols; ++c) {
+      if (c > 1) push(static_cast<int32_t>(r), 0);
+      const int64_t pieces = 1 + static_cast<int64_t>(rng.NextU64() % 3);
+      for (int64_t p = 0; p < pieces; ++p) {
+        push(static_cast<int32_t>(r), static_cast<int32_t>(c));
+      }
+    }
+    push(0, 0);
+  }
+  return m;
+}
+
+/// Layouts covering the edge cases: T = 1, all-context, one group,
+/// singleton groups, group sizes that are not multiples of the 6-row
+/// query block or the 16-key panel, and ids no rule groups by.
+std::vector<MaskCase> MaskCases() {
+  Rng rng(51);
+  std::vector<MaskCase> cases;
+  cases.push_back({"single context token", {0}, {0}});
+  cases.push_back({"single grid token", {3}, {2}});
+  cases.push_back({"all context", std::vector<int32_t>(23, 0),
+                   std::vector<int32_t>(23, 0)});
+  {
+    MaskCase m{"one group", {}, {}};
+    for (int32_t i = 0; i < 29; ++i) {
+      m.row.push_back(1);
+      m.col.push_back(1);
+    }
+    cases.push_back(m);
+  }
+  {
+    MaskCase m{"singletons", {}, {}};
+    for (int32_t i = 0; i < 31; ++i) {
+      m.row.push_back(i + 1);
+      m.col.push_back(i + 1);
+    }
+    cases.push_back(m);
+  }
+  {
+    // Groups of 7, 13, 17, 1, 5 and 2 tokens, interleaved with context
+    // and listed out of id order.
+    MaskCase m{"odd group sizes", {}, {}};
+    const int32_t sizes[] = {7, 13, 17, 1, 5, 2};
+    for (int32_t g = 0; g < 6; ++g) {
+      for (int32_t i = 0; i < sizes[g]; ++i) {
+        const int32_t id = 6 - g;
+        m.row.push_back(id);
+        m.col.push_back(i % 3 + 1);
+        if (i % 4 == 3) {
+          m.row.push_back(0);
+          m.col.push_back(0);
+        }
+      }
+    }
+    cases.push_back(m);
+  }
+  {
+    // Ids no rule groups by (negative) next to large ones.
+    MaskCase m{"negative and large ids", {}, {}};
+    for (int32_t i = 0; i < 37; ++i) {
+      m.row.push_back(i % 5 == 0 ? -1 - i : (i % 3 == 0 ? 1 << 30 : i % 4));
+      m.col.push_back(i % 7 == 0 ? -2 : (i % 2 == 0 ? 0 : 1 << 29));
+    }
+    cases.push_back(m);
+  }
+  cases.push_back(TableLayout(rng, 3, 4));
+  cases.push_back(TableLayout(rng, 9, 3));
+  cases.push_back(TableLayout(rng, 24, 5));
+  return cases;
+}
+
+constexpr kernels::MaskRule kAllRules[] = {
+    kernels::MaskRule::kNone, kernels::MaskRule::kSameRow,
+    kernels::MaskRule::kSameColumn, kernels::MaskRule::kRowOrColumn,
+    kernels::MaskRule::kSameGroup};
+
+std::vector<float> MaterializeMask(const kernels::MaskView& m, int64_t t) {
+  std::vector<float> bias(static_cast<size_t>(t * t));
+  for (int64_t i = 0; i < t; ++i) {
+    for (int64_t j = 0; j < t; ++j) {
+      bias[static_cast<size_t>(i * t + j)] =
+          kernels::MaskVisible(m, i, j) ? 0.0f : kernels::kMaskedScore;
+    }
+  }
+  return bias;
+}
+
+struct AttnInputs {
+  int64_t t, dk, dv;
+  std::vector<float> q, k, v;
+  AttnInputs(int64_t t_, int64_t dk_, int64_t dv_, Rng& rng)
+      : t(t_), dk(dk_), dv(dv_),
+        q(RandomVec(t_ * dk_, rng, -1.0f, 1.0f)),
+        k(RandomVec(t_ * dk_, rng, -1.0f, 1.0f)),
+        v(RandomVec(t_ * dv_, rng, -1.0f, 1.0f)) {}
+  float scale() const { return 1.0f / std::sqrt(static_cast<float>(dk)); }
+};
+
+/// Runs the dispatched masked kernel; returns out (and probs when asked).
+std::vector<float> RunMasked(const AttnInputs& in, const kernels::MaskView& m,
+                             std::vector<float>* probs = nullptr) {
+  std::vector<float> out(static_cast<size_t>(in.t * in.dv), -7.0f);
+  if (probs != nullptr) probs->assign(static_cast<size_t>(in.t * in.t), -7.0f);
+  kernels::MaskedAttention(in.q.data(), in.k.data(), in.v.data(), m,
+                           in.scale(), in.t, in.dk, in.dv, out.data(),
+                           probs != nullptr ? probs->data() : nullptr);
+  return out;
+}
+
+std::vector<float> RunDense(const AttnInputs& in, const float* bias,
+                            bool naive, std::vector<float>* probs = nullptr) {
+  std::vector<float> out(static_cast<size_t>(in.t * in.dv));
+  if (probs != nullptr) probs->assign(static_cast<size_t>(in.t * in.t), 0.0f);
+  auto fn = naive ? &kernels::naive::FusedAttention : &kernels::FusedAttention;
+  fn(in.q.data(), in.k.data(), in.v.data(), bias, in.scale(), in.t, in.t,
+     in.dk, in.dv, out.data(), probs != nullptr ? probs->data() : nullptr);
+  return out;
+}
+
+bool Bitwise(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+const int64_t kMaskDims[][2] = {{16, 16}, {7, 5}, {24, 40}};
+
+TEST(KernelsTest, MaskedAttentionMatchesNaiveOnMaterializedBias) {
+  Rng rng(52);
+  for (const MaskCase& c : MaskCases()) {
+    for (const auto& dims : kMaskDims) {
+      const AttnInputs in(c.size(), dims[0], dims[1], rng);
+      for (kernels::MaskRule rule : kAllRules) {
+        const kernels::MaskView m{rule, c.row.data(), c.col.data()};
+        const std::vector<float> bias = MaterializeMask(m, in.t);
+        std::vector<float> got_p, want_p;
+        const std::vector<float> got = RunMasked(in, m, &got_p);
+        const std::vector<float> want =
+            RunDense(in, bias.data(), true, &want_p);
+        SCOPED_TRACE(c.name + " rule " +
+                     std::to_string(static_cast<int>(rule)) + " dk " +
+                     std::to_string(in.dk));
+        ExpectAllNear(got, want, 1e-4f);
+        ExpectAllNear(got_p, want_p, 1e-5f);
+        // Masked probabilities are exactly zero.
+        for (size_t i = 0; i < bias.size(); ++i) {
+          if (bias[i] != 0.0f) {
+            ASSERT_EQ(got_p[i], 0.0f) << "at " << i;
+          }
+        }
+        // The naive mask reference is the naive dense kernel, bit for bit.
+        std::vector<float> naive_p;
+        std::vector<float> naive(static_cast<size_t>(in.t * in.dv));
+        naive_p.resize(static_cast<size_t>(in.t * in.t));
+        kernels::naive::MaskedAttention(in.q.data(), in.k.data(), in.v.data(),
+                                        m, in.scale(), in.t, in.dk, in.dv,
+                                        naive.data(), naive_p.data());
+        EXPECT_TRUE(Bitwise(naive, want));
+        EXPECT_TRUE(Bitwise(naive_p, want_p));
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, MaskedAttentionUnionAndNoneRulesAreTheDenseKernel) {
+  // kRowOrColumn computes the dense kernel's bias in place; kNone is
+  // the dense kernel with no bias. Both must match it bit for bit in
+  // the active tier, probabilities included.
+  Rng rng(53);
+  for (const MaskCase& c : MaskCases()) {
+    for (const auto& dims : kMaskDims) {
+      const AttnInputs in(c.size(), dims[0], dims[1], rng);
+      SCOPED_TRACE(c.name + " dk " + std::to_string(in.dk));
+      const kernels::MaskView turl{kernels::MaskRule::kRowOrColumn,
+                                   c.row.data(), c.col.data()};
+      const std::vector<float> bias = MaterializeMask(turl, in.t);
+      std::vector<float> got_p, want_p;
+      EXPECT_TRUE(Bitwise(RunMasked(in, turl, &got_p),
+                          RunDense(in, bias.data(), false, &want_p)));
+      EXPECT_TRUE(Bitwise(got_p, want_p));
+      const kernels::MaskView none{};
+      EXPECT_TRUE(Bitwise(RunMasked(in, none, &got_p),
+                          RunDense(in, nullptr, false, &want_p)));
+      EXPECT_TRUE(Bitwise(got_p, want_p));
+    }
+  }
+}
+
+TEST(KernelsTest, MaskedAttentionThreadCountAndCaptureInvariantBitwise) {
+  Rng rng(54);
+  for (const MaskCase& c : MaskCases()) {
+    const AttnInputs in(c.size(), 16, 24, rng);
+    for (kernels::MaskRule rule : kAllRules) {
+      SCOPED_TRACE(c.name + " rule " + std::to_string(static_cast<int>(rule)));
+      const kernels::MaskView m{rule, c.row.data(), c.col.data()};
+      std::vector<float> base, base_p;
+      {
+        ScopedThreads threads(1);
+        base = RunMasked(in, m);
+        RunMasked(in, m, &base_p);
+      }
+      for (int n : {2, 4}) {
+        ScopedThreads threads(n);
+        std::vector<float> probs;
+        // Capture off and on, at every thread count: same output bits.
+        EXPECT_TRUE(Bitwise(RunMasked(in, m), base)) << n << " threads";
+        EXPECT_TRUE(Bitwise(RunMasked(in, m, &probs), base)) << n;
+        EXPECT_TRUE(Bitwise(probs, base_p)) << n << " threads";
+      }
+    }
+  }
+}
+
 TEST(KernelsTest, TensorStorageIsCacheLineAligned) {
   for (auto shape : {std::vector<int64_t>{1}, {3, 5}, {33, 7}, {128, 128}}) {
     Tensor t = Tensor::Zeros(shape);
@@ -285,7 +519,8 @@ TEST(KernelsTest, VariantTableEnumeratesOpsAndPinsActive) {
   // Core f32 ops plus the int8 translation unit's ops must all be
   // registered — the cross-TU provider hook is load-bearing here.
   for (const char* op : {"matmul", "matmul_tb", "dot", "softmax_rows",
-                         "attention", "quantize_u8", "matmul_int8"}) {
+                         "attention", "masked_attention", "quantize_u8",
+                         "matmul_int8"}) {
     ASSERT_EQ(by_op.count(op), 1u) << op;
   }
   const std::string active_level =

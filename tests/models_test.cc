@@ -5,6 +5,7 @@
 #include "models/heads.h"
 #include "models/table_encoder.h"
 #include "models/visibility.h"
+#include "obs/introspect.h"
 #include "serialize/vocab_builder.h"
 #include "table/synth.h"
 #include "tensor/ops.h"
@@ -69,7 +70,7 @@ TEST_F(ModelsFixture, FamilyNames) {
 
 TEST_F(ModelsFixture, VisibilityMatrixStructure) {
   TokenizedTable serialized = serializer_->Serialize(MakeCountryDemoTable());
-  Tensor bias = BuildTurlVisibility(serialized);
+  Tensor bias = TurlMask(serialized).Materialize();
   const int64_t t = serialized.size();
   ASSERT_EQ(bias.rows(), t);
   // Diagonal always visible.
@@ -101,36 +102,151 @@ TEST_F(ModelsFixture, VisibilityMatrixStructure) {
 
 TEST_F(ModelsFixture, VisibilityIsSymmetric) {
   TokenizedTable serialized = serializer_->Serialize(corpus_->tables[1]);
-  Tensor bias = BuildTurlVisibility(serialized);
-  for (int64_t i = 0; i < bias.rows(); ++i) {
-    for (int64_t j = 0; j < bias.cols(); ++j) {
-      EXPECT_EQ(bias.at(i, j), bias.at(j, i));
+  const nn::AttentionMask mate = MateMask(serialized, 2);
+  for (const Tensor& bias : {TurlMask(serialized).Materialize(),
+                             mate.Materialize(0), mate.Materialize(1)}) {
+    for (int64_t i = 0; i < bias.rows(); ++i) {
+      for (int64_t j = 0; j < bias.cols(); ++j) {
+        EXPECT_EQ(bias.at(i, j), bias.at(j, i));
+      }
     }
   }
 }
 
-TEST_F(ModelsFixture, MateBiasesPartitionHeads) {
+TEST_F(ModelsFixture, MateMaskPartitionsHeads) {
   TokenizedTable serialized = serializer_->Serialize(MakeCountryDemoTable());
-  auto biases = BuildMateBiases(serialized, 4);
-  ASSERT_EQ(biases.size(), 4u);
+  const nn::AttentionMask mask = MateMask(serialized, 4);
+  ASSERT_EQ(mask.rules.size(), 4u);
   // Head 0 (row head): same-row cell pair visible, same-col masked.
   const CellSpan* a = serialized.FindCell(0, 0);
   const CellSpan* same_row = serialized.FindCell(0, 1);
   const CellSpan* same_col = serialized.FindCell(1, 0);
   ASSERT_TRUE(a && same_row && same_col);
-  EXPECT_EQ(biases[0].at(a->begin, same_row->begin), 0.0f);
-  EXPECT_LT(biases[0].at(a->begin, same_col->begin), 0.0f);
+  const Tensor row_head = mask.Materialize(0);
+  EXPECT_EQ(row_head.at(a->begin, same_row->begin), 0.0f);
+  EXPECT_LT(row_head.at(a->begin, same_col->begin), 0.0f);
   // Head 3 (column head): the reverse.
-  EXPECT_LT(biases[3].at(a->begin, same_row->begin), 0.0f);
-  EXPECT_EQ(biases[3].at(a->begin, same_col->begin), 0.0f);
+  const Tensor col_head = mask.Materialize(3);
+  EXPECT_LT(col_head.at(a->begin, same_row->begin), 0.0f);
+  EXPECT_EQ(col_head.at(a->begin, same_col->begin), 0.0f);
+}
+
+// The dense builders the masks replaced, kept verbatim as the reference
+// Materialize() must reproduce element for element.
+bool InGrid(const TokenInfo& t) { return t.row > 0 || t.column > 0; }
+bool SameRow(const TokenInfo& a, const TokenInfo& b) {
+  return a.row > 0 && a.row == b.row;
+}
+bool SameColumn(const TokenInfo& a, const TokenInfo& b) {
+  return a.column > 0 && a.column == b.column;
+}
+
+Tensor ReferenceTurlBias(const TokenizedTable& input) {
+  const int64_t t = input.size();
+  Tensor bias({t, t});
+  for (int64_t i = 0; i < t; ++i) {
+    const TokenInfo& a = input.tokens[static_cast<size_t>(i)];
+    for (int64_t j = 0; j < t; ++j) {
+      const TokenInfo& b = input.tokens[static_cast<size_t>(j)];
+      const bool visible = i == j || !InGrid(a) || !InGrid(b) ||
+                           SameRow(a, b) || SameColumn(a, b);
+      bias.at(i, j) = visible ? 0.0f : kernels::kMaskedScore;
+    }
+  }
+  return bias;
+}
+
+std::vector<Tensor> ReferenceMateBiases(const TokenizedTable& input,
+                                        int64_t num_heads) {
+  const int64_t t = input.size();
+  Tensor row_bias({t, t});
+  Tensor col_bias({t, t});
+  for (int64_t i = 0; i < t; ++i) {
+    const TokenInfo& a = input.tokens[static_cast<size_t>(i)];
+    for (int64_t j = 0; j < t; ++j) {
+      const TokenInfo& b = input.tokens[static_cast<size_t>(j)];
+      const bool base = i == j || !InGrid(a) || !InGrid(b);
+      row_bias.at(i, j) =
+          base || SameRow(a, b) ? 0.0f : kernels::kMaskedScore;
+      col_bias.at(i, j) =
+          base || SameColumn(a, b) ? 0.0f : kernels::kMaskedScore;
+    }
+  }
+  std::vector<Tensor> out;
+  for (int64_t h = 0; h < num_heads; ++h) {
+    out.push_back(h < num_heads / 2 ? row_bias : col_bias);
+  }
+  return out;
+}
+
+Tensor ReferenceVerticalBias(const std::vector<CellSpan>& cells) {
+  const int64_t n = static_cast<int64_t>(cells.size());
+  Tensor vbias({n, n});
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      const bool same_col = cells[static_cast<size_t>(i)].col ==
+                            cells[static_cast<size_t>(j)].col;
+      vbias.at(i, j) = (i == j || same_col) ? 0.0f : kernels::kMaskedScore;
+    }
+  }
+  return vbias;
+}
+
+void ExpectSameMatrix(const Tensor& got, const Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << what << " at flat index " << i;
+  }
+}
+
+TEST_F(ModelsFixture, MaterializeMatchesDenseBuilders) {
+  std::vector<Table> tables = corpus_->tables;
+  tables.push_back(MakeCountryDemoTable());
+  int64_t headers = 0, separators = 0, context = 0;
+  for (size_t ti = 0; ti < tables.size(); ++ti) {
+    const TokenizedTable serialized = serializer_->Serialize(tables[ti]);
+    for (const TokenInfo& tok : serialized.tokens) {
+      headers += tok.row == 0 && tok.column > 0;
+      separators += tok.row > 0 && tok.column == 0;
+      context += tok.row == 0 && tok.column == 0;
+    }
+    const std::string id = "table " + std::to_string(ti);
+    ExpectSameMatrix(TurlMask(serialized).Materialize(),
+                     ReferenceTurlBias(serialized), id + " turl");
+    for (int64_t heads : {1, 2, 4}) {
+      const nn::AttentionMask mate = MateMask(serialized, heads);
+      const std::vector<Tensor> want = ReferenceMateBiases(serialized, heads);
+      for (int64_t h = 0; h < heads; ++h) {
+        ExpectSameMatrix(mate.Materialize(h), want[static_cast<size_t>(h)],
+                         id + " mate head " + std::to_string(h) + "/" +
+                             std::to_string(heads));
+      }
+    }
+    ExpectSameMatrix(VerticalMask(serialized.cells).Materialize(),
+                     ReferenceVerticalBias(serialized.cells),
+                     id + " vertical");
+  }
+  // The fixture must exercise every token class the rules distinguish.
+  EXPECT_GT(headers, 0);
+  EXPECT_GT(separators, 0);
+  EXPECT_GT(context, 0);
 }
 
 TEST_F(ModelsFixture, VisibleFractionDenseVsSparse) {
   TokenizedTable serialized = serializer_->Serialize(corpus_->tables[0]);
-  Tensor turl = BuildTurlVisibility(serialized);
-  EXPECT_LT(VisibleFraction(turl), 1.0);
-  EXPECT_GT(VisibleFraction(turl), 0.0);
-  EXPECT_EQ(VisibleFraction(Tensor::Zeros({4, 4})), 1.0);
+  const nn::AttentionMask turl = TurlMask(serialized);
+  EXPECT_LT(turl.VisibleFraction(), 1.0);
+  EXPECT_GT(turl.VisibleFraction(), 0.0);
+  // Counted from the rule, equal to counting the materialized zeros.
+  const Tensor bias = turl.Materialize();
+  int64_t zeros = 0;
+  for (int64_t i = 0; i < bias.numel(); ++i) zeros += bias[i] == 0.0f;
+  EXPECT_EQ(turl.VisibleFraction(),
+            static_cast<double>(zeros) / static_cast<double>(bias.numel()));
+  nn::AttentionMask dense;
+  dense.row = dense.column = {0, 1, 2, 3};
+  EXPECT_EQ(dense.VisibleFraction(), 1.0);
 }
 
 class FamilySweep : public ModelsFixture,
@@ -205,21 +321,46 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(ModelFamilyName(info.param));
     });
 
-TEST_F(ModelsFixture, TurlAttentionRespectsVisibility) {
-  ModelConfig config = TinyConfig(ModelFamily::kTurl);
-  TableEncoderModel model(config);
-  model.SetTraining(false);
-  Rng rng(6);
+TEST_F(ModelsFixture, MaskedAttentionRespectsVisibility) {
+  // TURL's shared rule and MATE's row (head 0) and column (head 1)
+  // heads: every captured per-head probability is exactly 0 where the
+  // head's mask hides the pair, on the graph and the inference path.
   TokenizedTable serialized = serializer_->Serialize(MakeCountryDemoTable());
-  models::Encoded enc = model.Encode(
-      serialized, rng, {.need_cells = false, .capture_attention = true});
-  Tensor bias = BuildTurlVisibility(serialized);
-  for (const Tensor& probs : enc.attention) {
-    for (int64_t i = 0; i < probs.rows(); ++i) {
-      for (int64_t j = 0; j < probs.cols(); ++j) {
-        if (bias.at(i, j) < 0.0f) {
-          EXPECT_LT(probs.at(i, j), 1e-5f) << i << "," << j;
+  for (ModelFamily family : {ModelFamily::kTurl, ModelFamily::kMate}) {
+    ModelConfig config = TinyConfig(family);
+    TableEncoderModel model(config);
+    model.SetTraining(false);
+    const nn::AttentionMask mask =
+        family == ModelFamily::kTurl
+            ? TurlMask(serialized)
+            : MateMask(serialized, config.transformer.num_heads);
+    for (bool inference : {false, true}) {
+      obs::CaptureScope capture;
+      Rng rng(6);
+      model.Encode(serialized, rng,
+                   {.need_cells = false, .inference = inference});
+      const std::vector<obs::AttentionRecord> records = capture.records();
+      ASSERT_EQ(records.size(),
+                static_cast<size_t>(config.transformer.num_layers));
+      for (const obs::AttentionRecord& record : records) {
+        ASSERT_EQ(record.heads.size(),
+                  static_cast<size_t>(config.transformer.num_heads));
+        int64_t masked = 0;
+        for (size_t h = 0; h < record.heads.size(); ++h) {
+          const Tensor bias = mask.Materialize(static_cast<int64_t>(h));
+          const obs::AttentionMatrix& probs = record.heads[h];
+          for (int64_t i = 0; i < probs.rows; ++i) {
+            for (int64_t j = 0; j < probs.cols; ++j) {
+              if (bias.at(i, j) < 0.0f) {
+                ++masked;
+                ASSERT_EQ(probs.At(i, j), 0.0f)
+                    << ModelFamilyName(family) << " head " << h << " (" << i
+                    << "," << j << ") inference " << inference;
+              }
+            }
+          }
         }
+        EXPECT_GT(masked, 0);
       }
     }
   }

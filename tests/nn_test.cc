@@ -102,18 +102,30 @@ TEST(AttentionTest, OutputShapeMatchesInput) {
   EXPECT_EQ(y.shape(), (std::vector<int64_t>{6, 16}));
 }
 
-TEST(AttentionTest, SharedBiasBlocksAttention) {
+/// A mask under which every token is its own group: only the diagonal
+/// is visible under kSameGroup.
+nn::AttentionMask DiagonalMask(int64_t t,
+                               std::vector<kernels::MaskRule> rules) {
+  nn::AttentionMask mask;
+  for (int64_t i = 0; i < t; ++i) {
+    mask.row.push_back(0);
+    mask.column.push_back(static_cast<int32_t>(i));
+  }
+  mask.rules = std::move(rules);
+  return mask;
+}
+
+TEST(AttentionTest, SharedMaskBlocksAttention) {
   Rng rng(9);
   nn::MultiHeadSelfAttention attn(8, 2, 0.0f, rng);
   attn.SetTraining(false);
   const int64_t t = 4;
   ag::Variable x = ag::Variable::Constant(Tensor::Randn({t, 8}, rng));
   // Mask everything except the diagonal.
-  nn::AttentionBias bias;
-  bias.shared = Tensor::Full({t, t}, nn::kMaskedScore);
-  for (int64_t i = 0; i < t; ++i) bias.shared.at(i, i) = 0.0f;
+  const nn::AttentionMask mask =
+      DiagonalMask(t, {kernels::MaskRule::kSameGroup});
   Tensor probs;
-  attn.Forward(x, &bias, rng, &probs);
+  attn.Forward(x, &mask, rng, &probs);
   for (int64_t i = 0; i < t; ++i) {
     EXPECT_NEAR(probs.at(i, i), 1.0f, 1e-4f);
     for (int64_t j = 0; j < t; ++j) {
@@ -138,19 +150,17 @@ TEST(AttentionTest, ProbsAreRowStochastic) {
   }
 }
 
-TEST(AttentionTest, PerHeadBiasesApplyIndependently) {
+TEST(AttentionTest, PerHeadRulesApplyIndependently) {
   Rng rng(11);
   const int64_t t = 3;
   nn::MultiHeadSelfAttention attn(8, 2, 0.0f, rng);
   attn.SetTraining(false);
   ag::Variable x = ag::Variable::Constant(Tensor::Randn({t, 8}, rng));
-  nn::AttentionBias bias;
   // Head 0: only diagonal. Head 1: dense.
-  Tensor diag = Tensor::Full({t, t}, nn::kMaskedScore);
-  for (int64_t i = 0; i < t; ++i) diag.at(i, i) = 0.0f;
-  bias.per_head = {diag, Tensor::Zeros({t, t})};
+  const nn::AttentionMask mask = DiagonalMask(
+      t, {kernels::MaskRule::kSameGroup, kernels::MaskRule::kNone});
   Tensor probs;  // averaged over heads
-  attn.Forward(x, &bias, rng, &probs);
+  attn.Forward(x, &mask, rng, &probs);
   // Diagonal gets at least the 0.5 share from head 0.
   for (int64_t i = 0; i < t; ++i) EXPECT_GT(probs.at(i, i), 0.5f - 1e-4f);
   // Off-diagonal strictly below 0.5 (only head 1 contributes).
