@@ -2,6 +2,42 @@
 
 namespace tabrep::models {
 
+namespace {
+
+/// Gathers the rows of x whose target is not ignored, runs `transform`
+/// on them only, and applies the tied-softmax loss.
+template <typename Transform>
+HeadLoss TiedHeadLoss(const ag::Variable& x,
+                      const std::vector<int32_t>& targets,
+                      int32_t ignore_index, const ag::Variable& weight,
+                      const ag::Variable& bias, Transform&& transform) {
+  TABREP_CHECK(x.value().dim() == 2 &&
+               static_cast<int64_t>(targets.size()) == x.value().rows())
+      << "head loss: " << targets.size() << " targets for "
+      << ShapeToString(x.shape());
+  std::vector<int32_t> rows, kept;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i] == ignore_index) continue;
+    rows.push_back(static_cast<int32_t>(i));
+    kept.push_back(targets[i]);
+  }
+  HeadLoss out;
+  if (rows.empty()) {
+    out.loss = ag::Variable::Constant(Tensor::Zeros({1}));
+    return out;
+  }
+  // A differentiable row gather: EmbeddingLookup reads x as its table.
+  ag::Variable h = rows.size() == targets.size()
+                       ? x
+                       : ag::EmbeddingLookup(x, std::move(rows));
+  out.counted = static_cast<int64_t>(kept.size());
+  out.loss = ag::TiedSoftmaxLoss(transform(h), weight, bias, std::move(kept),
+                                 &out.correct);
+  return out;
+}
+
+}  // namespace
+
 MlmHead::MlmHead(TableEncoderModel* model, Rng& rng)
     : model_(model),
       transform_(model->dim(), model->dim(), rng),
@@ -12,12 +48,16 @@ MlmHead::MlmHead(TableEncoderModel* model, Rng& rng)
       "output_bias", Tensor::Zeros({model->config().vocab_size}));
 }
 
-ag::Variable MlmHead::Forward(const ag::Variable& hidden) {
-  ag::Variable h = ln_.Forward(ag::Gelu(transform_.Forward(hidden)));
-  // Weight tying: logits = h E^T + b.
-  ag::Variable logits =
-      ag::MatMulTransposedB(h, model_->token_embedding_weight());
-  return ag::AddRowBroadcast(logits, *output_bias_);
+ag::Variable MlmHead::Transform(const ag::Variable& hidden) {
+  return ln_.Forward(ag::Gelu(transform_.Forward(hidden)));
+}
+
+HeadLoss MlmHead::Loss(const ag::Variable& hidden,
+                       const std::vector<int32_t>& targets,
+                       int32_t ignore_index) {
+  return TiedHeadLoss(hidden, targets, ignore_index,
+                      model_->token_embedding_weight(), *output_bias_,
+                      [this](const ag::Variable& h) { return Transform(h); });
 }
 
 EntityRecoveryHead::EntityRecoveryHead(TableEncoderModel* model, Rng& rng)
@@ -27,11 +67,16 @@ EntityRecoveryHead::EntityRecoveryHead(TableEncoderModel* model, Rng& rng)
       "output_bias", Tensor::Zeros({model->config().entity_vocab_size}));
 }
 
-ag::Variable EntityRecoveryHead::Forward(const ag::Variable& cell_reps) {
-  ag::Variable h = ag::Gelu(transform_.Forward(cell_reps));
-  ag::Variable logits =
-      ag::MatMulTransposedB(h, model_->entity_embedding_weight());
-  return ag::AddRowBroadcast(logits, *output_bias_);
+ag::Variable EntityRecoveryHead::Transform(const ag::Variable& cell_reps) {
+  return ag::Gelu(transform_.Forward(cell_reps));
+}
+
+HeadLoss EntityRecoveryHead::Loss(const ag::Variable& cell_reps,
+                                  const std::vector<int32_t>& targets,
+                                  int32_t ignore_index) {
+  return TiedHeadLoss(cell_reps, targets, ignore_index,
+                      model_->entity_embedding_weight(), *output_bias_,
+                      [this](const ag::Variable& h) { return Transform(h); });
 }
 
 ClsHead::ClsHead(int64_t dim, int64_t num_classes, Rng& rng)

@@ -8,14 +8,31 @@
 
 namespace tabrep::models {
 
+/// A pretraining head's loss over the rows that carry a target.
+struct HeadLoss {
+  ag::Variable loss;    // mean cross-entropy; 0 when nothing is counted
+  int64_t correct = 0;  // argmax hits among the counted rows
+  int64_t counted = 0;  // rows whose target is not ignored
+};
+
 /// Masked-language-modeling head: transform + GELU + LayerNorm, then a
-/// weight-tied projection onto the token embedding table. Produces
-/// logits [T, vocab].
+/// weight-tied projection onto the token embedding table.
 class MlmHead : public nn::Module {
  public:
   MlmHead(TableEncoderModel* model, Rng& rng);
 
-  ag::Variable Forward(const ag::Variable& hidden);
+  /// The head transform, row by row: [rows, dim] -> [rows, dim].
+  ag::Variable Transform(const ag::Variable& hidden);
+
+  /// Masked-row MLM loss over hidden [T, dim] and T targets: gathers
+  /// the rows whose target is not `ignore_index`, transforms only
+  /// those, and scores them against the tied token embeddings
+  /// (ag::TiedSoftmaxLoss; the [rows, vocab] logits never exist).
+  HeadLoss Loss(const ag::Variable& hidden,
+                const std::vector<int32_t>& targets,
+                int32_t ignore_index = -100);
+
+  const ag::Variable& output_bias() const { return *output_bias_; }
 
  private:
   TableEncoderModel* model_;  // not owned; provides the tied weights
@@ -24,13 +41,22 @@ class MlmHead : public nn::Module {
   ag::Variable* output_bias_;
 };
 
-/// Masked-entity-recovery head (TURL): projects cell representations
-/// onto the entity embedding table -> logits [num_cells, entity_vocab].
+/// Masked-entity-recovery head (TURL): transform + GELU, then a
+/// weight-tied projection onto the entity embedding table.
 class EntityRecoveryHead : public nn::Module {
  public:
   EntityRecoveryHead(TableEncoderModel* model, Rng& rng);
 
-  ag::Variable Forward(const ag::Variable& cell_reps);
+  /// The head transform, row by row: [cells, dim] -> [cells, dim].
+  ag::Variable Transform(const ag::Variable& cell_reps);
+
+  /// Masked-row MER loss over cell_reps [cells, dim], like
+  /// MlmHead::Loss against the entity embeddings.
+  HeadLoss Loss(const ag::Variable& cell_reps,
+                const std::vector<int32_t>& targets,
+                int32_t ignore_index = -100);
+
+  const ag::Variable& output_bias() const { return *output_bias_; }
 
  private:
   TableEncoderModel* model_;  // not owned

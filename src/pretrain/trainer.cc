@@ -67,14 +67,12 @@ PretrainTrainer::StepStats PretrainTrainer::RunExample(
     MlmExample ex = ApplyMlmMasking(serialized, config_.mlm, rng);
     if (ex.num_masked > 0) {
       models::Encoded enc = model_->Encode(ex.input, rng, {.need_cells = false});
-      ag::Variable logits = mlm_head_.Forward(enc.hidden);
-      int64_t correct = 0, counted = 0;
-      ag::Variable loss = ag::CrossEntropy(logits, ex.targets, kIgnoreTarget,
-                                           &correct, &counted);
-      stats.mlm_loss = loss.value()[0];
-      stats.mlm_correct = correct;
-      stats.mlm_counted = counted;
-      if (train) ag::Backward(loss);
+      const models::HeadLoss mlm =
+          mlm_head_.Loss(enc.hidden, ex.targets, kIgnoreTarget);
+      stats.mlm_loss = mlm.loss.value()[0];
+      stats.mlm_correct = mlm.correct;
+      stats.mlm_counted = mlm.counted;
+      if (train) ag::Backward(mlm.loss);
     }
   }
 
@@ -84,16 +82,15 @@ PretrainTrainer::StepStats PretrainTrainer::RunExample(
     if (ex.num_masked > 0) {
       models::Encoded enc = model_->Encode(ex.input, rng);
       if (enc.has_cells) {
-        ag::Variable logits = mer_head_->Forward(enc.cells);
-        int64_t correct = 0, counted = 0;
-        ag::Variable loss = ag::CrossEntropy(
-            logits, ex.cell_targets, kIgnoreTarget, &correct, &counted);
+        const models::HeadLoss mer =
+            mer_head_->Loss(enc.cells, ex.cell_targets, kIgnoreTarget);
+        ag::Variable loss = mer.loss;
         if (config_.mer_weight != 1.0f) {
           loss = ag::MulScalar(loss, config_.mer_weight);
         }
         stats.mer_loss = loss.value()[0];
-        stats.mer_correct = correct;
-        stats.mer_counted = counted;
+        stats.mer_correct = mer.correct;
+        stats.mer_counted = mer.counted;
         if (train) ag::Backward(loss);
       }
     }

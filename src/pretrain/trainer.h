@@ -95,9 +95,7 @@ class PretrainTrainer {
 
   const PretrainConfig& config() const { return config_; }
 
- private:
-  /// Forward+loss for one example; adds gradients when training.
-  /// Returns {loss, correct, counted} for MLM and (optionally) MER.
+  /// {loss, correct, counted} of one example's MLM and (optionally) MER.
   struct StepStats {
     double mlm_loss = 0.0;
     int64_t mlm_correct = 0;
@@ -106,8 +104,14 @@ class PretrainTrainer {
     int64_t mer_correct = 0;
     int64_t mer_counted = 0;
   };
+
+  /// One example exactly as Train() and Evaluate() run it: masking,
+  /// encode and the head losses, plus backward into the parameters'
+  /// gradients (or the calling thread's ag::ScopedGradRedirect) when
+  /// `train`. Draws the masks from `rng`. Benches time it directly.
   StepStats RunExample(const TokenizedTable& serialized, bool train, Rng& rng);
 
+ private:
   TableEncoderModel* model_;
   const TableSerializer* serializer_;
   PretrainConfig config_;

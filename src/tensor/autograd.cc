@@ -3,6 +3,8 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/ops.h"
 
 namespace tabrep::ag {
@@ -15,11 +17,40 @@ thread_local GradTable* t_grad_redirect = nullptr;
 thread_local bool t_no_grad = false;
 
 /// The buffer gradient writes for `node` must target on this thread:
-/// the active redirect table's slot, or the shared grad buffer.
+/// the active redirect table's slot, or the shared grad buffer. Zero-
+/// filled on first use, for the writers that add into it in place.
 Tensor& GradSlot(VarImpl* node) {
   if (t_grad_redirect) return t_grad_redirect->Slot(node);
   node->EnsureGrad();
   return node->grad;
+}
+
+/// Adds `scale * delta` into node's gradient on this thread. The first
+/// write takes the delta itself: an `owned` delta (a fresh result no
+/// other tensor shares) becomes the buffer when scale is 1, anything
+/// else is copied scaled. The values equal zero-fill plus Axpy (up to
+/// the sign of a zero).
+void AccumGrad(VarImpl* node, const Tensor& delta, float scale, bool owned) {
+  Tensor* slot = t_grad_redirect != nullptr ? t_grad_redirect->Find(node)
+                 : node->grad_allocated     ? &node->grad
+                                            : nullptr;
+  if (slot != nullptr) {
+    slot->Add(delta, scale);
+    return;
+  }
+  TABREP_CHECK(delta.numel() == node->value.numel())
+      << "gradient " << ShapeToString(delta.shape()) << " for a "
+      << ShapeToString(node->value.shape()) << " value";
+  Tensor first = owned && scale == 1.0f ? delta
+                 : scale == 1.0f          ? delta.Clone()
+                                          : ops::MulScalar(delta, scale);
+  if (!first.SameShape(node->value)) first = first.Reshape(node->value.shape());
+  if (t_grad_redirect != nullptr) {
+    t_grad_redirect->Insert(node, std::move(first));
+  } else {
+    node->grad = std::move(first);
+    node->grad_allocated = true;
+  }
 }
 
 }  // namespace
@@ -35,6 +66,16 @@ Tensor& GradTable::Slot(VarImpl* node) {
 const Tensor* GradTable::Find(const VarImpl* node) const {
   auto it = slots_.find(node);
   return it == slots_.end() ? nullptr : &it->second;
+}
+
+Tensor* GradTable::Find(const VarImpl* node) {
+  auto it = slots_.find(node);
+  return it == slots_.end() ? nullptr : &it->second;
+}
+
+void GradTable::Insert(VarImpl* node, Tensor grad) {
+  const bool inserted = slots_.emplace(node, std::move(grad)).second;
+  TABREP_CHECK(inserted) << "GradTable::Insert: node already has a slot";
 }
 
 void GradTable::Retain(std::shared_ptr<VarImpl> node) {
@@ -108,6 +149,10 @@ Variable MakeOp(Tensor value, std::vector<Variable> parents,
 }
 
 void Backward(const Variable& root) {
+  TABREP_TRACE_SPAN("ag.backward");
+  static obs::Histogram& duration_us =
+      obs::Registry::Get().histogram("tabrep.ag.backward.us");
+  obs::ScopedTimer timer(duration_us);
   // Iterative post-order DFS to get a reverse-topological order.
   std::vector<VarImpl*> order;
   std::unordered_set<VarImpl*> visited;
@@ -134,9 +179,10 @@ void Backward(const Variable& root) {
     }
   }
   // Seed with ones and propagate in reverse topological order. All
-  // grad reads/writes go through GradSlot so an active redirect keeps
-  // the whole pass inside its private table.
-  GradSlot(root.impl().get()).Add(Tensor::Ones(root.value().shape()));
+  // grad reads/writes go through GradSlot / AccumGrad so an active
+  // redirect keeps the whole pass inside its private table.
+  AccumGrad(root.impl().get(), Tensor::Ones(root.value().shape()), 1.0f,
+            /*owned=*/true);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     VarImpl* node = *it;
     if (node->backward_fn) {
@@ -151,7 +197,15 @@ namespace {
 void Accum(const std::shared_ptr<VarImpl>& p, const Tensor& delta,
            float scale = 1.0f) {
   if (!p->requires_grad) return;
-  GradSlot(p.get()).Add(delta, scale);
+  AccumGrad(p.get(), delta, scale, /*owned=*/false);
+}
+
+/// Accum for a fresh result nothing else references (an ops:: output
+/// or a local buffer): a first write adopts it without a copy.
+void AccumOwned(const std::shared_ptr<VarImpl>& p, Tensor delta,
+                float scale = 1.0f) {
+  if (!p->requires_grad) return;
+  AccumGrad(p.get(), delta, scale, /*owned=*/true);
 }
 
 }  // namespace
@@ -181,8 +235,12 @@ Variable Mul(const Variable& a, const Variable& b) {
   auto pb = b.impl();
   return MakeOp(ops::Mul(a.value(), b.value()), {a, b},
                 [pa, pb](const Tensor& g) {
-                  Accum(pa, ops::Mul(g, pb->value));
-                  Accum(pb, ops::Mul(g, pa->value));
+                  if (pa->requires_grad) {
+                    AccumOwned(pa, ops::Mul(g, pb->value));
+                  }
+                  if (pb->requires_grad) {
+                    AccumOwned(pb, ops::Mul(g, pa->value));
+                  }
                 });
 }
 
@@ -206,12 +264,7 @@ Variable AddRowBroadcast(const Variable& a, const Variable& b) {
                   Accum(pa, g);
                   if (pb->requires_grad) {
                     const int64_t n = pb->value.numel();
-                    const int64_t rows = g.numel() / n;
-                    Tensor gb({n});
-                    for (int64_t r = 0; r < rows; ++r) {
-                      for (int64_t c = 0; c < n; ++c) gb[c] += g[r * n + c];
-                    }
-                    Accum(pb, gb);
+                    AccumOwned(pb, ops::SumRows(g.Reshape({g.numel() / n, n})));
                   }
                 });
 }
@@ -223,7 +276,7 @@ Variable Tanh(const Variable& a) {
     if (!pa->requires_grad) return;
     Tensor d = g.Clone();
     for (int64_t i = 0; i < d.numel(); ++i) d[i] *= 1.0f - y[i] * y[i];
-    Accum(pa, d);
+    AccumOwned(pa, d);
   });
 }
 
@@ -235,7 +288,7 @@ Variable Relu(const Variable& a) {
     for (int64_t i = 0; i < d.numel(); ++i) {
       if (pa->value[i] <= 0.0f) d[i] = 0.0f;
     }
-    Accum(pa, d);
+    AccumOwned(pa, d);
   });
 }
 
@@ -243,16 +296,9 @@ Variable Gelu(const Variable& a) {
   auto pa = a.impl();
   return MakeOp(ops::Gelu(a.value()), {a}, [pa](const Tensor& g) {
     if (!pa->requires_grad) return;
-    constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-    Tensor d = g.Clone();
-    for (int64_t i = 0; i < d.numel(); ++i) {
-      const float x = pa->value[i];
-      const float u = kC * (x + 0.044715f * x * x * x);
-      const float t = std::tanh(u);
-      const float du = kC * (1.0f + 3.0f * 0.044715f * x * x);
-      d[i] *= 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-    }
-    Accum(pa, d);
+    Tensor d = Tensor::Uninitialized(g.shape());
+    kernels::GeluBackward(d.data(), g.data(), pa->value.data(), d.numel());
+    AccumOwned(pa, d);
   });
 }
 
@@ -263,7 +309,7 @@ Variable Sigmoid(const Variable& a) {
     if (!pa->requires_grad) return;
     Tensor d = g.Clone();
     for (int64_t i = 0; i < d.numel(); ++i) d[i] *= y[i] * (1.0f - y[i]);
-    Accum(pa, d);
+    AccumOwned(pa, d);
   });
 }
 
@@ -274,10 +320,10 @@ Variable MatMul(const Variable& a, const Variable& b) {
                 [pa, pb](const Tensor& g) {
                   // dA = g B^T ; dB = A^T g
                   if (pa->requires_grad) {
-                    Accum(pa, ops::MatMulTransposedB(g, pb->value));
+                    AccumOwned(pa, ops::MatMulTransposedB(g, pb->value));
                   }
                   if (pb->requires_grad) {
-                    Accum(pb, ops::MatMul(ops::Transpose(pa->value), g));
+                    AccumOwned(pb, ops::MatMulTransposedA(pa->value, g));
                   }
                 });
 }
@@ -289,10 +335,10 @@ Variable MatMulTransposedB(const Variable& a, const Variable& b) {
                 [pa, pb](const Tensor& g) {
                   // C = A B^T: dA = g B ; dB = g^T A
                   if (pa->requires_grad) {
-                    Accum(pa, ops::MatMul(g, pb->value));
+                    AccumOwned(pa, ops::MatMul(g, pb->value));
                   }
                   if (pb->requires_grad) {
-                    Accum(pb, ops::MatMul(ops::Transpose(g), pa->value));
+                    AccumOwned(pb, ops::MatMulTransposedA(g, pa->value));
                   }
                 });
 }
@@ -315,24 +361,21 @@ Variable FusedAttention(const Variable& q, const Variable& k,
     // P = softmax(scale Q K^T + bias), out = P V.
     // dV = P^T g ; dP = g V^T ; dS = P*(dP - rowsum(dP*P)) ;
     // dQ = scale dS K ; dK = scale dS^T Q.
-    if (pv->requires_grad) {
-      Accum(pv, ops::MatMul(ops::Transpose(probs), g));
-    }
+    if (pv->requires_grad) AccumOwned(pv, ops::MatMulTransposedA(probs, g));
     if (!pq->requires_grad && !pk->requires_grad) return;
-    const Tensor dp = ops::MatMulTransposedB(g, pv->value);
+    // dS overwrites dP row by row.
+    Tensor ds = ops::MatMulTransposedB(g, pv->value);
     const int64_t tq = probs.rows(), tk = probs.cols();
-    Tensor ds({tq, tk});
     for (int64_t r = 0; r < tq; ++r) {
       const float* pr = probs.data() + r * tk;
-      const float* dpr = dp.data() + r * tk;
-      float dot = 0.0f;
-      for (int64_t j = 0; j < tk; ++j) dot += pr[j] * dpr[j];
       float* dsr = ds.data() + r * tk;
-      for (int64_t j = 0; j < tk; ++j) dsr[j] = pr[j] * (dpr[j] - dot);
+      float dot = 0.0f;
+      for (int64_t j = 0; j < tk; ++j) dot += pr[j] * dsr[j];
+      for (int64_t j = 0; j < tk; ++j) dsr[j] = pr[j] * (dsr[j] - dot);
     }
-    if (pq->requires_grad) Accum(pq, ops::MatMul(ds, pk->value), scale);
+    if (pq->requires_grad) AccumOwned(pq, ops::MatMul(ds, pk->value), scale);
     if (pk->requires_grad) {
-      Accum(pk, ops::MatMul(ops::Transpose(ds), pq->value), scale);
+      AccumOwned(pk, ops::MatMulTransposedA(ds, pq->value), scale);
     }
   });
 }
@@ -340,7 +383,7 @@ Variable FusedAttention(const Variable& q, const Variable& k,
 Variable Transpose(const Variable& a) {
   auto pa = a.impl();
   return MakeOp(ops::Transpose(a.value()), {a}, [pa](const Tensor& g) {
-    if (pa->requires_grad) Accum(pa, ops::Transpose(g));
+    if (pa->requires_grad) AccumOwned(pa, ops::Transpose(g));
   });
 }
 
@@ -351,7 +394,7 @@ Variable Reshape(const Variable& a, std::vector<int64_t> shape) {
   Tensor y = a.value().Clone().Reshape(std::move(shape));
   std::vector<int64_t> orig = a.value().shape();
   return MakeOp(y, {a}, [pa, orig](const Tensor& g) {
-    if (pa->requires_grad) Accum(pa, g.Clone().Reshape(orig));
+    if (pa->requires_grad) Accum(pa, g.Reshape(orig));
   });
 }
 
@@ -363,7 +406,7 @@ Variable Softmax(const Variable& a) {
     // dx = y * (g - sum(g*y)) rowwise over the last axis.
     const int64_t n = y.size(-1);
     const int64_t rows = y.numel() / n;
-    Tensor d = Tensor::Zeros(y.shape());
+    Tensor d = Tensor::Uninitialized(y.shape());
     for (int64_t r = 0; r < rows; ++r) {
       const float* yr = y.data() + r * n;
       const float* gr = g.data() + r * n;
@@ -372,7 +415,7 @@ Variable Softmax(const Variable& a) {
       float* dr = d.data() + r * n;
       for (int64_t i = 0; i < n; ++i) dr[i] = yr[i] * (gr[i] - dot);
     }
-    Accum(pa, d);
+    AccumOwned(pa, d);
   });
 }
 
@@ -385,47 +428,15 @@ Variable LayerNorm(const Variable& a, const Variable& gamma,
   return MakeOp(y, {a, gamma, beta}, [pa, pg, pb, eps](const Tensor& g) {
     const Tensor& x = pa->value;
     const int64_t n = x.size(-1);
-    const int64_t rows = x.numel() / n;
-    Tensor dx = Tensor::Zeros(x.shape());
+    Tensor dx = Tensor::Uninitialized(x.shape());
     Tensor dgamma({n});
     Tensor dbeta({n});
-    const float* gm = pg->value.data();
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* xr = x.data() + r * n;
-      const float* gr = g.data() + r * n;
-      float mean = 0.0f;
-      for (int64_t i = 0; i < n; ++i) mean += xr[i];
-      mean /= static_cast<float>(n);
-      float var = 0.0f;
-      for (int64_t i = 0; i < n; ++i) {
-        const float d = xr[i] - mean;
-        var += d * d;
-      }
-      var /= static_cast<float>(n);
-      const float inv = 1.0f / std::sqrt(var + eps);
-      // xhat_i = (x_i - mean) * inv; y_i = gamma_i * xhat_i + beta_i.
-      float sum_dxhat = 0.0f;
-      float sum_dxhat_xhat = 0.0f;
-      for (int64_t i = 0; i < n; ++i) {
-        const float xhat = (xr[i] - mean) * inv;
-        const float dxhat = gr[i] * gm[i];
-        sum_dxhat += dxhat;
-        sum_dxhat_xhat += dxhat * xhat;
-        dgamma[i] += gr[i] * xhat;
-        dbeta[i] += gr[i];
-      }
-      float* dxr = dx.data() + r * n;
-      const float invn = 1.0f / static_cast<float>(n);
-      for (int64_t i = 0; i < n; ++i) {
-        const float xhat = (xr[i] - mean) * inv;
-        const float dxhat = gr[i] * gm[i];
-        dxr[i] =
-            inv * (dxhat - invn * sum_dxhat - xhat * invn * sum_dxhat_xhat);
-      }
-    }
-    Accum(pa, dx);
-    Accum(pg, dgamma);
-    Accum(pb, dbeta);
+    kernels::LayerNormBackwardRows(x.data(), g.data(), pg->value.data(),
+                                   x.numel() / n, n, eps, dx.data(),
+                                   dgamma.data(), dbeta.data());
+    AccumOwned(pa, dx);
+    AccumOwned(pg, dgamma);
+    AccumOwned(pb, dbeta);
   });
 }
 
@@ -435,8 +446,7 @@ Variable MeanAll(const Variable& a) {
       a.numel() > 0 ? 1.0f / static_cast<float>(a.numel()) : 0.0f;
   return MakeOp(ops::MeanAll(a.value()), {a}, [pa, invn](const Tensor& g) {
     if (!pa->requires_grad) return;
-    Tensor d = Tensor::Full(pa->value.shape(), g[0] * invn);
-    Accum(pa, d);
+    AccumOwned(pa, Tensor::Full(pa->value.shape(), g[0] * invn));
   });
 }
 
@@ -444,7 +454,7 @@ Variable SumAll(const Variable& a) {
   auto pa = a.impl();
   return MakeOp(ops::SumAll(a.value()), {a}, [pa](const Tensor& g) {
     if (!pa->requires_grad) return;
-    Accum(pa, Tensor::Full(pa->value.shape(), g[0]));
+    AccumOwned(pa, Tensor::Full(pa->value.shape(), g[0]));
   });
 }
 
@@ -455,11 +465,11 @@ Variable MeanRows(const Variable& a) {
     const int64_t rows = pa->value.rows();
     const int64_t cols = pa->value.cols();
     const float inv = rows > 0 ? 1.0f / static_cast<float>(rows) : 0.0f;
-    Tensor d({rows, cols});
+    Tensor d = Tensor::Uninitialized({rows, cols});
     for (int64_t i = 0; i < rows; ++i) {
       for (int64_t j = 0; j < cols; ++j) d.at(i, j) = g[j] * inv;
     }
-    Accum(pa, d);
+    AccumOwned(pa, d);
   });
 }
 
@@ -467,7 +477,7 @@ Variable L2NormalizeRows(const Variable& a, float eps) {
   TABREP_CHECK(a.value().dim() == 2) << "L2NormalizeRows: need 2-D input";
   const int64_t rows = a.value().rows();
   const int64_t cols = a.value().cols();
-  Tensor y({rows, cols});
+  Tensor y = Tensor::Uninitialized({rows, cols});
   std::vector<float> norms(static_cast<size_t>(rows));
   for (int64_t r = 0; r < rows; ++r) {
     double acc = 0.0;
@@ -487,7 +497,7 @@ Variable L2NormalizeRows(const Variable& a, float eps) {
     // dx_i = (g_i - y_i * (g_i . y_i)) / ||x_i||.
     const int64_t rows = y.rows();
     const int64_t cols = y.cols();
-    Tensor d({rows, cols});
+    Tensor d = Tensor::Uninitialized({rows, cols});
     for (int64_t r = 0; r < rows; ++r) {
       float dot = 0.0f;
       for (int64_t c = 0; c < cols; ++c) dot += g.at(r, c) * y.at(r, c);
@@ -496,7 +506,7 @@ Variable L2NormalizeRows(const Variable& a, float eps) {
         d.at(r, c) = (g.at(r, c) - y.at(r, c) * dot) * inv;
       }
     }
-    Accum(pa, d);
+    AccumOwned(pa, d);
   });
 }
 
@@ -559,13 +569,13 @@ Variable Dropout(const Variable& a, float p, Rng& rng) {
   TABREP_CHECK(p < 1.0f) << "Dropout: p must be < 1";
   const float keep = 1.0f - p;
   const float scale = 1.0f / keep;
-  Tensor mask(a.value().shape());
+  Tensor mask = Tensor::Uninitialized(a.value().shape());
   for (int64_t i = 0; i < mask.numel(); ++i) {
     mask[i] = rng.NextBernoulli(keep) ? scale : 0.0f;
   }
   auto pa = a.impl();
   return MakeOp(ops::Mul(a.value(), mask), {a}, [pa, mask](const Tensor& g) {
-    if (pa->requires_grad) Accum(pa, ops::Mul(g, mask));
+    if (pa->requires_grad) AccumOwned(pa, ops::Mul(g, mask));
   });
 }
 
@@ -586,7 +596,7 @@ Variable CrossEntropy(const Variable& logits, std::vector<int32_t> targets,
         Tensor probs = ops::Softmax(pl->value);
         const int64_t c = pl->value.cols();
         const float scale = g[0] / static_cast<float>(counted);
-        Tensor d = Tensor::Zeros(pl->value.shape());
+        Tensor d = Tensor::Zeros(pl->value.shape());  // ignored rows stay 0
         for (int64_t i = 0; i < pl->value.rows(); ++i) {
           const int32_t t = targets[static_cast<size_t>(i)];
           if (t == ignore_index) continue;
@@ -595,7 +605,65 @@ Variable CrossEntropy(const Variable& logits, std::vector<int32_t> targets,
           for (int64_t j = 0; j < c; ++j) dr[j] = pr[j] * scale;
           dr[t] -= scale;
         }
-        Accum(pl, d);
+        AccumOwned(pl, d);
+      });
+}
+
+Variable TiedSoftmaxLoss(const Variable& h, const Variable& weight,
+                         const Variable& bias, std::vector<int32_t> targets,
+                         int64_t* correct_out) {
+  TABREP_TRACE_SPAN("ag.tied_softmax_loss");
+  const Tensor& hv = h.value();
+  const Tensor& wv = weight.value();
+  TABREP_CHECK(hv.dim() == 2 && wv.dim() == 2 && hv.cols() == wv.cols() &&
+               bias.value().numel() == wv.rows() && hv.rows() > 0 &&
+               static_cast<int64_t>(targets.size()) == hv.rows())
+      << "TiedSoftmaxLoss: h " << ShapeToString(hv.shape()) << ", weight "
+      << ShapeToString(wv.shape()) << ", bias "
+      << ShapeToString(bias.value().shape()) << ", " << targets.size()
+      << " targets";
+  const int64_t r = hv.rows(), d = hv.cols(), v = wv.rows();
+  for (const int32_t t : targets) {
+    TABREP_CHECK(t >= 0 && t < v) << "TiedSoftmaxLoss: target " << t;
+  }
+  std::vector<float> lse(targets.size()), target_logit(targets.size());
+  std::vector<int32_t> argmax(targets.size());
+  kernels::TiedSoftmaxForward(hv.data(), wv.data(), bias.value().data(),
+                              targets.data(), r, d, v, lse.data(),
+                              target_logit.data(), argmax.data());
+  double loss = 0.0;
+  int64_t correct = 0;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    loss += lse[i] - target_logit[i];
+    correct += argmax[i] == targets[i];
+  }
+  if (correct_out) *correct_out = correct;
+  Tensor out = Tensor::Uninitialized({1});
+  out[0] = static_cast<float>(loss / static_cast<double>(r));
+  auto ph = h.impl();
+  auto pw = weight.impl();
+  auto pb = bias.impl();
+  return MakeOp(
+      out, {h, weight, bias},
+      [ph, pw, pb, targets = std::move(targets),
+       lse = std::move(lse)](const Tensor& g) {
+        TABREP_TRACE_SPAN("ag.tied_softmax_loss.backward");
+        const Tensor& hv = ph->value;
+        const Tensor& wv = pw->value;
+        const int64_t r = hv.rows(), d = wv.cols(), v = wv.rows();
+        Tensor dh, dw, db;
+        if (ph->requires_grad) dh = Tensor::Uninitialized({r, d});
+        if (pw->requires_grad) dw = Tensor::Uninitialized({v, d});
+        if (pb->requires_grad) db = Tensor::Uninitialized({v});
+        kernels::TiedSoftmaxBackward(
+            hv.data(), wv.data(), pb->value.data(), targets.data(),
+            lse.data(), g[0] / static_cast<float>(r), r, d, v,
+            ph->requires_grad ? dh.data() : nullptr,
+            pw->requires_grad ? dw.data() : nullptr,
+            pb->requires_grad ? db.data() : nullptr);
+        AccumOwned(ph, dh);
+        AccumOwned(pw, dw);
+        AccumOwned(pb, db);
       });
 }
 

@@ -84,6 +84,15 @@ Variable MakeOp(Tensor value, std::vector<Variable> parents,
 
 /// Runs reverse-mode accumulation from `root` (any shape; the seed
 /// gradient is all-ones). Call ZeroGrad on parameters between steps.
+/// Each call is one "ag.backward" trace span and one sample of the
+/// always-on tabrep.ag.backward.us histogram.
+///
+/// Gradient buffers are first-touch: the first write to a node's
+/// gradient (shared buffer or redirect slot) takes the delta itself,
+/// adopting an op's freshly computed tensor outright, instead of
+/// zero-filling a buffer and adding into it. Only the in-place writers
+/// (EmbeddingLookup, SliceRows, ConcatRows, the loss's row scatter)
+/// start from a zero-filled buffer.
 void Backward(const Variable& root);
 
 /// RAII: while active on the current thread, MakeOp produces constant
@@ -118,14 +127,16 @@ class NoGradScope {
 // fixed order, making multi-threaded gradient accumulation both
 // race-free and bitwise reproducible.
 
-/// Maps graph nodes to private gradient buffers (created zeroed on
-/// first write).
+/// Maps graph nodes to private gradient buffers.
 class GradTable {
  public:
-  /// The redirected buffer for `node`, allocated on first use.
+  /// The redirected buffer for `node`, zero-filled on first use.
   Tensor& Slot(internal::VarImpl* node);
   /// The buffer for `node`, or null when backward never wrote it.
   const Tensor* Find(const internal::VarImpl* node) const;
+  Tensor* Find(const internal::VarImpl* node);
+  /// Makes `grad` the buffer of `node`, which must not have one yet.
+  void Insert(internal::VarImpl* node, Tensor grad);
 
   /// Keeps `node` alive as long as this table. Slots are keyed by raw
   /// VarImpl address, so a graph whose nodes were freed while its
@@ -216,6 +227,26 @@ Variable CrossEntropy(const Variable& logits, std::vector<int32_t> targets,
                       int32_t ignore_index = -100,
                       int64_t* correct_out = nullptr,
                       int64_t* counted_out = nullptr);
+
+/// The weight-tied LM-head loss over counted rows: mean cross-entropy
+/// of softmax(h · weight^T + bias). h is [r, d] with r >= 1, weight
+/// [v, d] (an embedding table the head ties to), bias [v], and targets
+/// r ids in [0, v): every row carries a target. Callers with ignored
+/// positions gather the counted rows first (models::MlmHead::Loss does,
+/// with EmbeddingLookup, and handles the case of no counted row).
+///
+/// Equal, within float rounding, to
+///   CrossEntropy(AddRowBroadcast(MatMulTransposedB(h, weight), bias),
+///                targets)
+/// with the same argmax accuracy (`correct_out`), but it never holds
+/// the [r, v] logits: kernels::TiedSoftmaxForward walks the vocabulary
+/// block by block in per-thread scratch, and backward recomputes each
+/// block from the saved log-sum-exp to produce dh, dweight and dbias.
+/// Traced as "ag.tied_softmax_loss" (forward) and
+/// "ag.tied_softmax_loss.backward".
+Variable TiedSoftmaxLoss(const Variable& h, const Variable& weight,
+                         const Variable& bias, std::vector<int32_t> targets,
+                         int64_t* correct_out = nullptr);
 
 }  // namespace tabrep::ag
 

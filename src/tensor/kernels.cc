@@ -62,7 +62,10 @@ AlignedBuffer& PackScratch2(size_t n) {
 }
 
 /// Thread-local scratch for a block of attention score rows (only used
-/// when the caller does not want the probabilities kept).
+/// when the caller does not want the probabilities kept), and for the
+/// tied-softmax loss's block of logits plus its per-row state (never
+/// the thread arena: the loss must not grow the arenas the encoder
+/// sizes).
 AlignedBuffer& RowScratch(size_t n) {
   thread_local AlignedBuffer buf;
   if (buf.size() < n) buf = AlignedBuffer(n);
@@ -255,6 +258,64 @@ inline float GeluScalar(float x) {
   return 0.5f * x * (1.0f + std::tanh(inner));
 }
 
+void GeluBackwardScalar(float* dx, const float* g, const float* x,
+                        int64_t n) {
+  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
+  for (int64_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float t = std::tanh(kC * (v + 0.044715f * v * v * v));
+    const float du = kC * (1.0f + 3.0f * 0.044715f * v * v);
+    dx[i] = g[i] * (0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du);
+  }
+}
+
+/// One row of LayerNorm backward: xhat = (x - mean)·inv, y = γ·xhat + β;
+/// dx = inv·(dxhat - mean(dxhat) - xhat·mean(dxhat·xhat)), dxhat = g·γ.
+void LayerNormBackwardRowScalar(const float* __restrict x,
+                                const float* __restrict g,
+                                const float* __restrict gamma, int64_t n,
+                                float eps, float* __restrict dx,
+                                float* __restrict dgamma,
+                                float* __restrict dbeta) {
+  float mean = 0.0f;
+  for (int64_t i = 0; i < n; ++i) mean += x[i];
+  mean /= static_cast<float>(n);
+  float var = 0.0f;
+  for (int64_t i = 0; i < n; ++i) {
+    const float d = x[i] - mean;
+    var += d * d;
+  }
+  var /= static_cast<float>(n);
+  const float inv = 1.0f / std::sqrt(var + eps);
+  float sum_dxhat = 0.0f;
+  float sum_dxhat_xhat = 0.0f;
+  for (int64_t i = 0; i < n; ++i) {
+    const float xhat = (x[i] - mean) * inv;
+    const float dxhat = g[i] * gamma[i];
+    sum_dxhat += dxhat;
+    sum_dxhat_xhat += dxhat * xhat;
+    dgamma[i] += g[i] * xhat;
+    dbeta[i] += g[i];
+  }
+  const float invn = 1.0f / static_cast<float>(n);
+  for (int64_t i = 0; i < n; ++i) {
+    const float xhat = (x[i] - mean) * inv;
+    const float dxhat = g[i] * gamma[i];
+    dx[i] = inv * (dxhat - invn * sum_dxhat - xhat * invn * sum_dxhat_xhat);
+  }
+}
+
+/// p[i] = exp(p[i] - shift) in place; returns Σ p[i] (the tied-softmax
+/// loss's online-softmax step).
+float ExpShiftSumScalar(float* p, int64_t n, float shift) {
+  float sum = 0.0f;
+  for (int64_t i = 0; i < n; ++i) {
+    p[i] = std::exp(p[i] - shift);
+    sum += p[i];
+  }
+  return sum;
+}
+
 // ======================================================================
 // AVX2/FMA path. Every function carrying intrinsics is tagged with
 // __attribute__((target)) so the translation unit itself stays at the
@@ -406,8 +467,10 @@ __attribute__((target("avx2"))) inline void StoreRow16(float* c, __m256 v0,
 /// never depend on how row blocks were assigned to threads. With
 /// kAccumulate the tile starts from the 16 columns already in C
 /// (ncols must be kNR): the masked attention kernel sums P·V over two
-/// key ranges this way.
-template <bool kAccumulate = false>
+/// key ranges this way. With kTransA, row r of the A tile is column r
+/// of a k-row matrix (element (r, kk) at a[kk·lda + r]): the Aᵀ·B
+/// kernel reads A^T this way instead of materializing it.
+template <bool kAccumulate = false, bool kTransA = false>
 __attribute__((target("avx2,fma"))) void MicroKernel6x16(
     const float* a, int64_t lda, const float* bp, int64_t k, float* c,
     int64_t ldc, int64_t ncols) {
@@ -431,26 +494,30 @@ __attribute__((target("avx2,fma"))) void MicroKernel6x16(
     acc50 = _mm256_loadu_ps(c + 5 * ldc);
     acc51 = _mm256_loadu_ps(c + 5 * ldc + 8);
   }
+  // Address of A-tile element (r, kk).
+  auto at = [a, lda](int64_t r, int64_t kk) {
+    return kTransA ? a + kk * lda + r : a + r * lda + kk;
+  };
   for (int64_t kk = 0; kk < k; ++kk) {
     const __m256 b0 = _mm256_load_ps(bp + kk * kNR);
     const __m256 b1 = _mm256_load_ps(bp + kk * kNR + 8);
     __m256 av;
-    av = _mm256_broadcast_ss(a + 0 * lda + kk);
+    av = _mm256_broadcast_ss(at(0, kk));
     acc00 = _mm256_fmadd_ps(av, b0, acc00);
     acc01 = _mm256_fmadd_ps(av, b1, acc01);
-    av = _mm256_broadcast_ss(a + 1 * lda + kk);
+    av = _mm256_broadcast_ss(at(1, kk));
     acc10 = _mm256_fmadd_ps(av, b0, acc10);
     acc11 = _mm256_fmadd_ps(av, b1, acc11);
-    av = _mm256_broadcast_ss(a + 2 * lda + kk);
+    av = _mm256_broadcast_ss(at(2, kk));
     acc20 = _mm256_fmadd_ps(av, b0, acc20);
     acc21 = _mm256_fmadd_ps(av, b1, acc21);
-    av = _mm256_broadcast_ss(a + 3 * lda + kk);
+    av = _mm256_broadcast_ss(at(3, kk));
     acc30 = _mm256_fmadd_ps(av, b0, acc30);
     acc31 = _mm256_fmadd_ps(av, b1, acc31);
-    av = _mm256_broadcast_ss(a + 4 * lda + kk);
+    av = _mm256_broadcast_ss(at(4, kk));
     acc40 = _mm256_fmadd_ps(av, b0, acc40);
     acc41 = _mm256_fmadd_ps(av, b1, acc41);
-    av = _mm256_broadcast_ss(a + 5 * lda + kk);
+    av = _mm256_broadcast_ss(at(5, kk));
     acc50 = _mm256_fmadd_ps(av, b0, acc50);
     acc51 = _mm256_fmadd_ps(av, b1, acc51);
   }
@@ -462,64 +529,18 @@ __attribute__((target("avx2,fma"))) void MicroKernel6x16(
   StoreRow16(c + 5 * ldc, acc50, acc51, ncols);
 }
 
-/// 1x16 edge kernel for the m % 6 tail rows.
+/// 1x16 edge kernel for the m % 6 tail rows. A's k elements sit
+/// `astride` floats apart (1 for a row, lda for a column of A^T).
 __attribute__((target("avx2,fma"))) void MicroKernel1x16(
-    const float* a, const float* bp, int64_t k, float* c, int64_t ncols) {
+    const float* a, const float* bp, int64_t k, float* c, int64_t ncols,
+    int64_t astride = 1) {
   __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
   for (int64_t kk = 0; kk < k; ++kk) {
-    const __m256 av = _mm256_broadcast_ss(a + kk);
+    const __m256 av = _mm256_broadcast_ss(a + kk * astride);
     acc0 = _mm256_fmadd_ps(av, _mm256_load_ps(bp + kk * kNR), acc0);
     acc1 = _mm256_fmadd_ps(av, _mm256_load_ps(bp + kk * kNR + 8), acc1);
   }
   StoreRow16(c, acc0, acc1, ncols);
-}
-
-/// One row of C = A · B^T: four dot products at a time so four k-sweep
-/// accumulator vectors stay live, horizontal sums in a fixed order,
-/// scalar k-tail appended after the vector part.
-__attribute__((target("avx2,fma"))) void MatMulTBRowAvx2(
-    const float* arow, const float* b, float* crow, int64_t k, int64_t n) {
-  const int64_t k8 = k & ~int64_t(7);
-  int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const float* b0 = b + (j + 0) * k;
-    const float* b1 = b + (j + 1) * k;
-    const float* b2 = b + (j + 2) * k;
-    const float* b3 = b + (j + 3) * k;
-    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-    for (int64_t kk = 0; kk < k8; kk += 8) {
-      const __m256 av = _mm256_loadu_ps(arow + kk);
-      a0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + kk), a0);
-      a1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + kk), a1);
-      a2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2 + kk), a2);
-      a3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3 + kk), a3);
-    }
-    float s0 = HSum256(a0), s1 = HSum256(a1), s2 = HSum256(a2),
-          s3 = HSum256(a3);
-    for (int64_t kk = k8; kk < k; ++kk) {
-      const float av = arow[kk];
-      s0 += av * b0[kk];
-      s1 += av * b1[kk];
-      s2 += av * b2[kk];
-      s3 += av * b3[kk];
-    }
-    crow[j + 0] = s0;
-    crow[j + 1] = s1;
-    crow[j + 2] = s2;
-    crow[j + 3] = s3;
-  }
-  for (; j < n; ++j) {
-    const float* brow = b + j * k;
-    __m256 acc = _mm256_setzero_ps();
-    for (int64_t kk = 0; kk < k8; kk += 8) {
-      acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk),
-                            _mm256_loadu_ps(brow + kk), acc);
-    }
-    float s = HSum256(acc);
-    for (int64_t kk = k8; kk < k; ++kk) s += arow[kk] * brow[kk];
-    crow[j] = s;
-  }
 }
 
 __attribute__((target("avx2,fma"))) float DotAvx2(const float* a,
@@ -701,6 +722,116 @@ __attribute__((target("avx2,fma"))) void LayerNormRowAvx2(
   }
 }
 
+__attribute__((target("avx2,fma"))) void GeluBackwardAvx2(float* dx,
+                                                          const float* g,
+                                                          const float* x,
+                                                          int64_t n) {
+  const __m256 kC = _mm256_set1_ps(0.7978845608028654f);
+  const __m256 kB = _mm256_set1_ps(0.044715f);
+  const __m256 kB3 = _mm256_set1_ps(3.0f * 0.044715f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    const __m256 v2 = _mm256_mul_ps(v, v);
+    const __m256 t = Tanh256(
+        _mm256_mul_ps(kC, _mm256_fmadd_ps(kB, _mm256_mul_ps(v2, v), v)));
+    const __m256 du = _mm256_mul_ps(kC, _mm256_fmadd_ps(kB3, v2, one));
+    // 0.5·(1 + t) + 0.5·v·(1 - t²)·du
+    const __m256 sech2 = _mm256_fnmadd_ps(t, t, one);
+    const __m256 d = _mm256_fmadd_ps(_mm256_mul_ps(half, v),
+                                     _mm256_mul_ps(sech2, du),
+                                     _mm256_mul_ps(half, _mm256_add_ps(one, t)));
+    _mm256_storeu_ps(dx + i, _mm256_mul_ps(_mm256_loadu_ps(g + i), d));
+  }
+  GeluBackwardScalar(dx + i, g + i, x + i, n - i);
+}
+
+__attribute__((target("avx2,fma"))) void LayerNormBackwardRowAvx2(
+    const float* x, const float* g, const float* gamma, int64_t n, float eps,
+    float* dx, float* dgamma, float* dbeta) {
+  const int64_t n8 = n & ~int64_t(7);
+  __m256 vsum = _mm256_setzero_ps();
+  for (int64_t i = 0; i < n8; i += 8) {
+    vsum = _mm256_add_ps(vsum, _mm256_loadu_ps(x + i));
+  }
+  float mean = HSum256(vsum);
+  for (int64_t i = n8; i < n; ++i) mean += x[i];
+  mean /= static_cast<float>(n);
+  const __m256 vmean = _mm256_set1_ps(mean);
+  __m256 vvar = _mm256_setzero_ps();
+  for (int64_t i = 0; i < n8; i += 8) {
+    const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(x + i), vmean);
+    vvar = _mm256_fmadd_ps(d, d, vvar);
+  }
+  float var = HSum256(vvar);
+  for (int64_t i = n8; i < n; ++i) {
+    const float d = x[i] - mean;
+    var += d * d;
+  }
+  var /= static_cast<float>(n);
+  const float inv = 1.0f / std::sqrt(var + eps);
+  const __m256 vinv = _mm256_set1_ps(inv);
+  __m256 vs = _mm256_setzero_ps(), vsx = _mm256_setzero_ps();
+  for (int64_t i = 0; i < n8; i += 8) {
+    const __m256 gi = _mm256_loadu_ps(g + i);
+    const __m256 xhat =
+        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + i), vmean), vinv);
+    const __m256 dxhat = _mm256_mul_ps(gi, _mm256_loadu_ps(gamma + i));
+    vs = _mm256_add_ps(vs, dxhat);
+    vsx = _mm256_fmadd_ps(dxhat, xhat, vsx);
+    _mm256_storeu_ps(dgamma + i,
+                     _mm256_fmadd_ps(gi, xhat, _mm256_loadu_ps(dgamma + i)));
+    _mm256_storeu_ps(dbeta + i, _mm256_add_ps(gi, _mm256_loadu_ps(dbeta + i)));
+  }
+  float sum_dxhat = HSum256(vs);
+  float sum_dxhat_xhat = HSum256(vsx);
+  for (int64_t i = n8; i < n; ++i) {
+    const float xhat = (x[i] - mean) * inv;
+    const float dxhat = g[i] * gamma[i];
+    sum_dxhat += dxhat;
+    sum_dxhat_xhat += dxhat * xhat;
+    dgamma[i] += g[i] * xhat;
+    dbeta[i] += g[i];
+  }
+  const float invn = 1.0f / static_cast<float>(n);
+  const float a = invn * sum_dxhat;
+  const float b = invn * sum_dxhat_xhat;
+  const __m256 va = _mm256_set1_ps(a), vb = _mm256_set1_ps(b);
+  for (int64_t i = 0; i < n8; i += 8) {
+    const __m256 xhat =
+        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + i), vmean), vinv);
+    const __m256 dxhat =
+        _mm256_mul_ps(_mm256_loadu_ps(g + i), _mm256_loadu_ps(gamma + i));
+    const __m256 r = _mm256_fnmadd_ps(xhat, vb, _mm256_sub_ps(dxhat, va));
+    _mm256_storeu_ps(dx + i, _mm256_mul_ps(vinv, r));
+  }
+  for (int64_t i = n8; i < n; ++i) {
+    const float xhat = (x[i] - mean) * inv;
+    dx[i] = inv * (g[i] * gamma[i] - a - xhat * b);
+  }
+}
+
+__attribute__((target("avx2,fma"))) float ExpShiftSumAvx2(float* p,
+                                                         int64_t n,
+                                                         float shift) {
+  const int64_t n8 = n & ~int64_t(7);
+  const __m256 vs = _mm256_set1_ps(shift);
+  __m256 vsum = _mm256_setzero_ps();
+  for (int64_t i = 0; i < n8; i += 8) {
+    const __m256 e = Exp256(_mm256_sub_ps(_mm256_loadu_ps(p + i), vs));
+    _mm256_storeu_ps(p + i, e);
+    vsum = _mm256_add_ps(vsum, e);
+  }
+  float sum = HSum256(vsum);
+  for (int64_t i = n8; i < n; ++i) {
+    p[i] = std::exp(p[i] - shift);
+    sum += p[i];
+  }
+  return sum;
+}
+
 /// Packs B[k,n] into 16-wide k-major panels with zero-padded tail
 /// columns: panel p holds bp[(p·k + kk)·16 + lane] = B[kk, p·16+lane].
 /// Each panel pass reads exactly one cache line per B row (the panel's
@@ -720,35 +851,6 @@ void PackB(const float* b, int64_t k, int64_t n, float* bp,
       int64_t j = 0;
       for (; j < w; ++j) d[j] = src[j];
       for (; j < kNR; ++j) d[j] = 0.0f;
-    }
-  }
-}
-
-void MatMulAvx2(const float* a, const float* b, float* c, int64_t m,
-                int64_t k, int64_t n) {
-  const int64_t panels = (n + kNR - 1) / kNR;
-  AlignedBuffer& pack = PackScratch(static_cast<size_t>(panels * k * kNR));
-  PackB(b, k, n, pack.data());
-  const float* bp = pack.data();
-  const int64_t full_blocks = m / kMR;
-  const int64_t tail_row0 = full_blocks * kMR;
-  const int64_t grain = GrainForFlopsPerRow(kMR * k * n);
-  runtime::ParallelFor(0, full_blocks, grain, [&](int64_t lo, int64_t hi) {
-    for (int64_t blk = lo; blk < hi; ++blk) {
-      const int64_t i0 = blk * kMR;
-      for (int64_t p = 0; p < panels; ++p) {
-        const int64_t j0 = p * kNR;
-        MicroKernel6x16(a + i0 * k, k, bp + p * k * kNR, k, c + i0 * n + j0,
-                        n, std::min(kNR, n - j0));
-      }
-    }
-  });
-  // Tail rows (< kMR of them) on the calling thread.
-  for (int64_t i = tail_row0; i < m; ++i) {
-    for (int64_t p = 0; p < panels; ++p) {
-      const int64_t j0 = p * kNR;
-      MicroKernel1x16(a + i * k, bp + p * k * kNR, k, c + i * n + j0,
-                      std::min(kNR, n - j0));
     }
   }
 }
@@ -777,6 +879,82 @@ void PackBT(const float* b, int64_t rows, int64_t k, float* bp,
       for (; lane < kNR; ++lane) d[lane] = 0.0f;
     }
   }
+}
+
+/// C = A · packed B over k, where `bp` holds B's 16-wide k-major panels
+/// (PackB / PackBT) and A is row-major [m,k] with row stride lda, or
+/// with kTransA the transpose of a row-major [k,m] matrix with row
+/// stride lda. PackedGemmBlocksAvx2 runs row blocks [blk_lo, blk_hi) of
+/// kMR rows through the 6x16 microkernel, PackedGemmTailAvx2 the m % 6
+/// tail rows, PackedGemmAvx2 both with the blocks in parallel.
+template <bool kTransA>
+void PackedGemmBlocksAvx2(const float* a, int64_t lda, const float* bp,
+                          float* c, int64_t k, int64_t n, int64_t blk_lo,
+                          int64_t blk_hi) {
+  const int64_t panels = (n + kNR - 1) / kNR;
+  for (int64_t blk = blk_lo; blk < blk_hi; ++blk) {
+    const int64_t i0 = blk * kMR;
+    const float* arow = kTransA ? a + i0 : a + i0 * lda;
+    for (int64_t p = 0; p < panels; ++p) {
+      const int64_t j0 = p * kNR;
+      MicroKernel6x16<false, kTransA>(arow, lda, bp + p * k * kNR, k,
+                                      c + i0 * n + j0, n,
+                                      std::min(kNR, n - j0));
+    }
+  }
+}
+
+template <bool kTransA>
+void PackedGemmTailAvx2(const float* a, int64_t lda, const float* bp,
+                        float* c, int64_t m, int64_t k, int64_t n) {
+  const int64_t panels = (n + kNR - 1) / kNR;
+  for (int64_t i = m / kMR * kMR; i < m; ++i) {
+    const float* arow = kTransA ? a + i : a + i * lda;
+    for (int64_t p = 0; p < panels; ++p) {
+      const int64_t j0 = p * kNR;
+      MicroKernel1x16(arow, bp + p * k * kNR, k, c + i * n + j0,
+                      std::min(kNR, n - j0), kTransA ? lda : 1);
+    }
+  }
+}
+
+template <bool kTransA>
+void PackedGemmAvx2(const float* a, int64_t lda, const float* bp, float* c,
+                    int64_t m, int64_t k, int64_t n) {
+  const int64_t grain = GrainForFlopsPerRow(kMR * k * n);
+  runtime::ParallelFor(0, m / kMR, grain, [&](int64_t lo, int64_t hi) {
+    PackedGemmBlocksAvx2<kTransA>(a, lda, bp, c, k, n, lo, hi);
+  });
+  // Tail rows (< kMR of them) on the calling thread.
+  PackedGemmTailAvx2<kTransA>(a, lda, bp, c, m, k, n);
+}
+
+void MatMulAvx2(const float* a, const float* b, float* c, int64_t m,
+                int64_t k, int64_t n) {
+  const int64_t panels = (n + kNR - 1) / kNR;
+  AlignedBuffer& pack = PackScratch(static_cast<size_t>(panels * k * kNR));
+  PackB(b, k, n, pack.data());
+  PackedGemmAvx2<false>(a, k, pack.data(), c, m, k, n);
+}
+
+/// A · B^T: B's rows become the packed panels' lanes (PackBT), then the
+/// MatMul microkernel; no transposed copy of B.
+void MatMulTBAvx2(const float* a, const float* b, float* c, int64_t m,
+                  int64_t k, int64_t n) {
+  const int64_t panels = (n + kNR - 1) / kNR;
+  AlignedBuffer& pack = PackScratch(static_cast<size_t>(panels * k * kNR));
+  PackBT(b, n, k, pack.data());
+  PackedGemmAvx2<false>(a, k, pack.data(), c, m, k, n);
+}
+
+/// A^T · B for A [m,k], B [m,n]: the contraction runs over m. B packs
+/// as is; the microkernel reads A's columns as the tile rows.
+void MatMulTAAvx2(const float* a, const float* b, float* c, int64_t m,
+                  int64_t k, int64_t n) {
+  const int64_t panels = (n + kNR - 1) / kNR;
+  AlignedBuffer& pack = PackScratch(static_cast<size_t>(panels * m * kNR));
+  PackB(b, m, n, pack.data());
+  PackedGemmAvx2<true>(a, k, pack.data(), c, k, m, n);
 }
 
 /// AVX2 fused attention: query rows in blocks of kMR through the same
@@ -1142,17 +1320,20 @@ void MatMulTBScalarPar(const float* a, const float* b, float* c, int64_t m,
                        });
 }
 
-#if TABREP_KERNELS_X86
-void MatMulTBAvx2Par(const float* a, const float* b, float* c, int64_t m,
-                     int64_t k, int64_t n) {
-  runtime::ParallelFor(0, m, GrainForFlopsPerRow(k * n),
+
+void MatMulTAScalarPar(const float* a, const float* b, float* c, int64_t m,
+                       int64_t k, int64_t n) {
+  runtime::ParallelFor(0, k, GrainForFlopsPerRow(m * n),
                        [&](int64_t lo, int64_t hi) {
                          for (int64_t i = lo; i < hi; ++i) {
-                           MatMulTBRowAvx2(a + i * k, b, c + i * n, k, n);
+                           float* __restrict crow = c + i * n;
+                           std::fill_n(crow, n, 0.0f);
+                           for (int64_t kk = 0; kk < m; ++kk) {
+                             AxpyScalar(crow, b + kk * n, a[kk * k + i], n);
+                           }
                          }
                        });
 }
-#endif
 
 void TransposeBlocked(const float* a, float* out, int64_t m, int64_t n) {
   for (int64_t i0 = 0; i0 < m; i0 += kTransposeBlock) {
@@ -1162,6 +1343,157 @@ void TransposeBlocked(const float* a, float* out, int64_t m, int64_t n) {
       for (int64_t i = i0; i < i1; ++i) {
         const float* src = a + i * n;
         for (int64_t j = j0; j < j1; ++j) out[j * m + i] = src[j];
+      }
+    }
+  }
+}
+
+// ======================================================================
+// Blocked tied-softmax loss. One template over a tier's serial GEMM
+// primitives (the loss blocks the vocabulary itself and runs inside the
+// trainer's batch-parallel region, so it never opens a ParallelFor).
+// ======================================================================
+
+struct NaiveGemms {
+  static void ABt(const float* a, const float* b, float* c, int64_t m,
+                  int64_t k, int64_t n) {
+    naive::MatMulTransposedB(a, b, c, m, k, n);
+  }
+  static void AtB(const float* a, const float* b, float* c, int64_t m,
+                  int64_t k, int64_t n) {
+    naive::MatMulTransposedA(a, b, c, m, k, n);
+  }
+  static void AB(const float* a, const float* b, float* c, int64_t m,
+                 int64_t k, int64_t n) {
+    naive::MatMul(a, b, c, m, k, n);
+  }
+  static float ExpShiftSum(float* p, int64_t n, float shift) {
+    return ExpShiftSumScalar(p, n, shift);
+  }
+};
+
+struct ScalarGemms : NaiveGemms {
+  static void ABt(const float* a, const float* b, float* c, int64_t m,
+                  int64_t k, int64_t n) {
+    for (int64_t i = 0; i < m; ++i) {
+      MatMulTBRowScalar(a + i * k, b, c + i * n, k, n);
+    }
+  }
+  static void AB(const float* a, const float* b, float* c, int64_t m,
+                 int64_t k, int64_t n) {
+    MatMulRowsScalar(a, b, c, k, n, 0, m);
+  }
+};
+
+#if TABREP_KERNELS_X86
+struct Avx2Gemms {
+  static void ABt(const float* a, const float* b, float* c, int64_t m,
+                  int64_t k, int64_t n) {
+    float* bp = PackScratch(static_cast<size_t>((n + kNR - 1) / kNR * k * kNR))
+                    .data();
+    PackBT(b, n, k, bp);
+    PackedGemmBlocksAvx2<false>(a, k, bp, c, k, n, 0, m / kMR);
+    PackedGemmTailAvx2<false>(a, k, bp, c, m, k, n);
+  }
+  static void AtB(const float* a, const float* b, float* c, int64_t m,
+                  int64_t k, int64_t n) {
+    float* bp = PackScratch(static_cast<size_t>((n + kNR - 1) / kNR * m * kNR))
+                    .data();
+    PackB(b, m, n, bp);
+    PackedGemmBlocksAvx2<true>(a, k, bp, c, m, n, 0, k / kMR);
+    PackedGemmTailAvx2<true>(a, k, bp, c, k, m, n);
+  }
+  static void AB(const float* a, const float* b, float* c, int64_t m,
+                 int64_t k, int64_t n) {
+    float* bp = PackScratch(static_cast<size_t>((n + kNR - 1) / kNR * k * kNR))
+                    .data();
+    PackB(b, k, n, bp);
+    PackedGemmBlocksAvx2<false>(a, k, bp, c, k, n, 0, m / kMR);
+    PackedGemmTailAvx2<false>(a, k, bp, c, m, k, n);
+  }
+  static float ExpShiftSum(float* p, int64_t n, float shift) {
+    return ExpShiftSumAvx2(p, n, shift);
+  }
+};
+#endif
+
+/// z[r,vb] = h · w[v0 : v0+vb]^T + b[v0 : v0+vb].
+template <typename G>
+void TiedLogitsBlock(const float* h, const float* w, const float* b,
+                     int64_t r, int64_t d, int64_t v0, int64_t vb, float* z) {
+  G::ABt(h, w + v0 * d, z, r, d, vb);
+  for (int64_t i = 0; i < r; ++i) {
+    float* __restrict row = z + i * vb;
+    for (int64_t j = 0; j < vb; ++j) row[j] += b[v0 + j];
+  }
+}
+
+template <typename G>
+void TiedSoftmaxForwardT(const float* h, const float* w, const float* b,
+                         const int32_t* targets, int64_t r, int64_t d,
+                         int64_t v, float* lse, float* target_logit,
+                         int32_t* argmax) {
+  const int64_t block = std::min(kTiedSoftmaxBlock, v);
+  float* z = RowScratch(static_cast<size_t>(r * block + r)).data();
+  float* sum = z + r * block;
+  // lse[i] holds row i's running max until the final log.
+  for (int64_t v0 = 0; v0 < v; v0 += block) {
+    const int64_t vb = std::min(block, v - v0);
+    TiedLogitsBlock<G>(h, w, b, r, d, v0, vb, z);
+    for (int64_t i = 0; i < r; ++i) {
+      float* row = z + i * vb;
+      const int64_t t = targets[i];
+      if (t >= v0 && t < v0 + vb) target_logit[i] = row[t - v0];
+      int64_t best = 0;
+      for (int64_t j = 1; j < vb; ++j) {
+        if (row[j] > row[best]) best = j;
+      }
+      if (v0 == 0) {
+        sum[i] = 0.0f;
+        lse[i] = row[best];
+        argmax[i] = static_cast<int32_t>(best);
+      } else if (row[best] > lse[i]) {
+        sum[i] *= std::exp(lse[i] - row[best]);
+        lse[i] = row[best];
+        argmax[i] = static_cast<int32_t>(v0 + best);
+      }
+      sum[i] += G::ExpShiftSum(row, vb, lse[i]);
+    }
+  }
+  for (int64_t i = 0; i < r; ++i) lse[i] += std::log(sum[i]);
+}
+
+template <typename G>
+void TiedSoftmaxBackwardT(const float* h, const float* w, const float* b,
+                          const int32_t* targets, const float* lse,
+                          float scale, int64_t r, int64_t d, int64_t v,
+                          float* dh, float* dw, float* db) {
+  const int64_t block = std::min(kTiedSoftmaxBlock, v);
+  float* z = RowScratch(static_cast<size_t>(r * block + r * d)).data();
+  float* part = z + r * block;  // one block's dz · w
+  for (int64_t v0 = 0; v0 < v; v0 += block) {
+    const int64_t vb = std::min(block, v - v0);
+    TiedLogitsBlock<G>(h, w, b, r, d, v0, vb, z);
+    for (int64_t i = 0; i < r; ++i) {
+      float* __restrict row = z + i * vb;
+      G::ExpShiftSum(row, vb, lse[i]);
+      for (int64_t j = 0; j < vb; ++j) row[j] *= scale;
+      const int64_t t = targets[i];
+      if (t >= v0 && t < v0 + vb) row[t - v0] -= scale;
+    }
+    if (db != nullptr) {
+      float* __restrict out = db + v0;
+      std::copy(z, z + vb, out);
+      for (int64_t i = 1; i < r; ++i) {
+        const float* __restrict row = z + i * vb;
+        for (int64_t j = 0; j < vb; ++j) out[j] += row[j];
+      }
+    }
+    if (dw != nullptr) G::AtB(z, h, dw + v0 * d, r, vb, d);
+    if (dh != nullptr) {
+      G::AB(z, w + v0 * d, v0 == 0 ? dh : part, r, vb, d);
+      if (v0 > 0) {
+        for (int64_t i = 0; i < r * d; ++i) dh[i] += part[i];
       }
     }
   }
@@ -1232,11 +1564,27 @@ struct Registry {
   detail::OpEntry<void (*)(const float*, const float*, float*, int64_t,
                            int64_t, int64_t)>
       matmul_tb;
+  detail::OpEntry<void (*)(const float*, const float*, float*, int64_t,
+                           int64_t, int64_t)>
+      matmul_ta;
   detail::OpEntry<void (*)(const float*, float*, int64_t, int64_t)> transpose;
   detail::OpEntry<void (*)(float*, int64_t)> softmax_row;
   detail::OpEntry<void (*)(float*, int64_t)> log_softmax_row;
   detail::OpEntry<void (*)(float*, const float*, const float*, int64_t, float)>
       layernorm_row;
+  detail::OpEntry<void (*)(float*, const float*, const float*, int64_t)>
+      gelu_backward;
+  detail::OpEntry<void (*)(const float*, const float*, const float*, int64_t,
+                           float, float*, float*, float*)>
+      layernorm_backward_row;
+  detail::OpEntry<void (*)(const float*, const float*, const float*,
+                           const int32_t*, int64_t, int64_t, int64_t, float*,
+                           float*, int32_t*)>
+      tied_softmax_forward;
+  detail::OpEntry<void (*)(const float*, const float*, const float*,
+                           const int32_t*, const float*, float, int64_t,
+                           int64_t, int64_t, float*, float*, float*)>
+      tied_softmax_backward;
   detail::OpEntry<void (*)(const float*, const float*, const float*,
                            const float*, float, int64_t, int64_t, int64_t,
                            int64_t, float*, float*)>
@@ -1257,10 +1605,15 @@ struct Registry {
     visit(dot);
     visit(matmul);
     visit(matmul_tb);
+    visit(matmul_ta);
     visit(transpose);
     visit(softmax_row);
     visit(log_softmax_row);
     visit(layernorm_row);
+    visit(gelu_backward);
+    visit(layernorm_backward_row);
+    visit(tied_softmax_forward);
+    visit(tied_softmax_backward);
     visit(attention);
     visit(masked_attention);
   }
@@ -1282,6 +1635,9 @@ Registry BuildRegistry() {
   r.matmul_tb = {"matmul_tb",
                  {{SL::kNaive, "naive", &naive::MatMulTransposedB},
                   {SL::kScalar, "scalar", &MatMulTBScalarPar}}};
+  r.matmul_ta = {"matmul_ta",
+                 {{SL::kNaive, "naive", &naive::MatMulTransposedA},
+                  {SL::kScalar, "scalar", &MatMulTAScalarPar}}};
   r.transpose = {"transpose",
                  {{SL::kNaive, "naive", &naive::Transpose},
                   {SL::kScalar, "scalar", &TransposeBlocked}}};
@@ -1290,6 +1646,19 @@ Registry BuildRegistry() {
                        {{SL::kScalar, "scalar", &LogSoftmaxRowScalar}}};
   r.layernorm_row = {"layernorm_rows",
                      {{SL::kScalar, "scalar", &LayerNormRowScalar}}};
+  r.gelu_backward = {"gelu_backward",
+                     {{SL::kScalar, "scalar", &GeluBackwardScalar}}};
+  r.layernorm_backward_row = {
+      "layernorm_backward_rows",
+      {{SL::kScalar, "scalar", &LayerNormBackwardRowScalar}}};
+  r.tied_softmax_forward = {
+      "tied_softmax_forward",
+      {{SL::kNaive, "naive", &TiedSoftmaxForwardT<NaiveGemms>},
+       {SL::kScalar, "scalar", &TiedSoftmaxForwardT<ScalarGemms>}}};
+  r.tied_softmax_backward = {
+      "tied_softmax_backward",
+      {{SL::kNaive, "naive", &TiedSoftmaxBackwardT<NaiveGemms>},
+       {SL::kScalar, "scalar", &TiedSoftmaxBackwardT<ScalarGemms>}}};
   r.attention = {"attention",
                  {{SL::kNaive, "naive", &naive::FusedAttention},
                   {SL::kScalar, "scalar", &FusedAttentionScalarPar}}};
@@ -1305,10 +1674,18 @@ Registry BuildRegistry() {
   r.gelu_range.variants.push_back({SL::kAvx2, "avx2", &GeluAvx2});
   r.dot.variants.push_back({SL::kAvx2, "avx2", &DotAvx2});
   r.matmul.variants.push_back({SL::kAvx2, "avx2", &MatMulAvx2});
-  r.matmul_tb.variants.push_back({SL::kAvx2, "avx2", &MatMulTBAvx2Par});
+  r.matmul_tb.variants.push_back({SL::kAvx2, "avx2", &MatMulTBAvx2});
+  r.matmul_ta.variants.push_back({SL::kAvx2, "avx2", &MatMulTAAvx2});
   r.softmax_row.variants.push_back({SL::kAvx2, "avx2", &SoftmaxRowAvx2});
   r.log_softmax_row.variants.push_back({SL::kAvx2, "avx2", &LogSoftmaxRowAvx2});
   r.layernorm_row.variants.push_back({SL::kAvx2, "avx2", &LayerNormRowAvx2});
+  r.gelu_backward.variants.push_back({SL::kAvx2, "avx2", &GeluBackwardAvx2});
+  r.layernorm_backward_row.variants.push_back(
+      {SL::kAvx2, "avx2", &LayerNormBackwardRowAvx2});
+  r.tied_softmax_forward.variants.push_back(
+      {SL::kAvx2, "avx2", &TiedSoftmaxForwardT<Avx2Gemms>});
+  r.tied_softmax_backward.variants.push_back(
+      {SL::kAvx2, "avx2", &TiedSoftmaxBackwardT<Avx2Gemms>});
   r.attention.variants.push_back({SL::kAvx2, "avx2", &FusedAttentionAvx2});
   r.masked_attention.variants.push_back(
       {SL::kAvx2, "avx2", &MaskedAttentionAvx2});
@@ -1448,6 +1825,12 @@ void MatMulTransposedB(const float* a, const float* b, float* c, int64_t m,
   Reg().matmul_tb.fn(a, b, c, m, k, n);
 }
 
+void MatMulTransposedA(const float* a, const float* b, float* c, int64_t m,
+                       int64_t k, int64_t n) {
+  if (k <= 0 || n <= 0) return;
+  Reg().matmul_ta.fn(a, b, c, m, k, n);
+}
+
 void Transpose(const float* a, float* out, int64_t m, int64_t n) {
   Reg().transpose.fn(a, out, m, n);
 }
@@ -1480,6 +1863,36 @@ void LayerNormRows(float* p, const float* gamma, const float* beta,
                            fn(p + r * n, gamma, beta, n, eps);
                          }
                        });
+}
+
+void GeluBackward(float* dx, const float* g, const float* x, int64_t n) {
+  Reg().gelu_backward.fn(dx, g, x, n);
+}
+
+void LayerNormBackwardRows(const float* x, const float* g,
+                           const float* gamma, int64_t rows, int64_t n,
+                           float eps, float* dx, float* dgamma,
+                           float* dbeta) {
+  const auto fn = Reg().layernorm_backward_row.fn;
+  for (int64_t r = 0; r < rows; ++r) {
+    fn(x + r * n, g + r * n, gamma, n, eps, dx + r * n, dgamma, dbeta);
+  }
+}
+
+void TiedSoftmaxForward(const float* h, const float* w, const float* b,
+                        const int32_t* targets, int64_t r, int64_t d,
+                        int64_t v, float* lse, float* target_logit,
+                        int32_t* argmax) {
+  Reg().tied_softmax_forward.fn(h, w, b, targets, r, d, v, lse, target_logit,
+                                argmax);
+}
+
+void TiedSoftmaxBackward(const float* h, const float* w, const float* b,
+                         const int32_t* targets, const float* lse,
+                         float scale, int64_t r, int64_t d, int64_t v,
+                         float* dh, float* dw, float* db) {
+  Reg().tied_softmax_backward.fn(h, w, b, targets, lse, scale, r, d, v, dh,
+                                 dw, db);
 }
 
 void FusedAttention(const float* q, const float* k, const float* v,
@@ -1523,6 +1936,19 @@ void MatMulTransposedB(const float* a, const float* b, float* c, int64_t m,
                        int64_t k, int64_t n) {
   for (int64_t i = 0; i < m; ++i) {
     MatMulTBRowScalar(a + i * k, b, c + i * n, k, n);
+  }
+}
+
+void MatMulTransposedA(const float* a, const float* b, float* c, int64_t m,
+                       int64_t k, int64_t n) {
+  for (int64_t i = 0; i < k; ++i) {
+    float* crow = c + i * n;
+    std::fill_n(crow, static_cast<size_t>(n), 0.0f);
+    for (int64_t kk = 0; kk < m; ++kk) {
+      const float av = a[kk * k + i];
+      const float* brow = b + kk * n;
+      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
   }
 }
 

@@ -123,9 +123,18 @@ float Dot(const float* a, const float* b, int64_t n);
 void MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n);
 
-/// C[m,n] = A[m,k] · B[n,k]^T (the attention Q·K^T pattern). Parallel
-/// over rows of A.
+/// C[m,n] = A[m,k] · B[n,k]^T (the attention Q·K^T pattern). The AVX2
+/// path packs B^T into the same 16-wide panels MatMul packs B into
+/// (no transposed copy) and runs the 6x16 microkernel. Parallel over
+/// row blocks of A.
 void MatMulTransposedB(const float* a, const float* b, float* c, int64_t m,
+                       int64_t k, int64_t n);
+
+/// C[k,n] = A[m,k]^T · B[m,n] (the weight-gradient pattern X^T·dY of a
+/// backward pass). The AVX2 path packs B and runs the 6x16 microkernel
+/// reading A column-wise, so A^T is never materialized. Parallel over
+/// row blocks of C.
+void MatMulTransposedA(const float* a, const float* b, float* c, int64_t m,
                        int64_t k, int64_t n);
 
 /// out[n,m] = a[m,n]^T via 32x32 cache blocks (both sides of the copy
@@ -139,6 +148,50 @@ void SoftmaxRows(float* p, int64_t rows, int64_t n);
 void LogSoftmaxRows(float* p, int64_t rows, int64_t n);
 void LayerNormRows(float* p, const float* gamma, const float* beta,
                    int64_t rows, int64_t n, float eps);
+
+// -- Backward helpers ---------------------------------------------------
+//
+// Serial: backward runs per example inside the trainer's batch-parallel
+// region, where a ParallelFor would only run inline.
+
+/// dx = g · gelu'(x) for the tanh-approximation GELU (dx may alias g).
+void GeluBackward(float* dx, const float* g, const float* x, int64_t n);
+
+/// LayerNorm backward over `rows` rows of width n: writes dx (all of
+/// it) and accumulates dgamma/dbeta row by row in ascending order.
+void LayerNormBackwardRows(const float* x, const float* g,
+                           const float* gamma, int64_t rows, int64_t n,
+                           float eps, float* dx, float* dgamma, float* dbeta);
+
+// -- Blocked tied-softmax cross-entropy ---------------------------------
+//
+// The output layer of a weight-tied LM head, z = h[r,d] · w[v,d]^T +
+// b[v], consumed by a softmax cross-entropy without ever holding the
+// [r,v] logits: both passes walk the vocabulary kTiedSoftmaxBlock rows
+// of w at a time, with the block's [r, block] logits in per-thread
+// scratch (grown, never freed, like the matmul packing scratch). The
+// backward pass recomputes each block's logits from the forward's
+// log-sum-exp, as FlashAttention-2 recomputes P. Both run serially:
+// the trainer calls them once per example inside its batch-parallel
+// region, where a nested ParallelFor would run inline anyway.
+
+inline constexpr int64_t kTiedSoftmaxBlock = 192;
+
+/// Both passes need r >= 1 and v >= 1. Per row i of z: lse[i] = log Σ_j exp(z[i,j]) (an online max/sum over
+/// the blocks, in ascending order), target_logit[i] = z[i,targets[i]],
+/// argmax[i] = the first index of the row maximum.
+void TiedSoftmaxForward(const float* h, const float* w, const float* b,
+                        const int32_t* targets, int64_t r, int64_t d,
+                        int64_t v, float* lse, float* target_logit,
+                        int32_t* argmax);
+
+/// With dz = (exp(z - lse) - onehot(targets)) · scale, block by block:
+/// dh = dz · w [r,d], dw = dz^T · h [v,d], db = Σ_i dz[i,:] [v]. Each
+/// output is overwritten in full; a null output is skipped.
+void TiedSoftmaxBackward(const float* h, const float* w, const float* b,
+                         const int32_t* targets, const float* lse,
+                         float scale, int64_t r, int64_t d, int64_t v,
+                         float* dh, float* dw, float* db);
 
 // -- Fused scaled-dot-product attention ---------------------------------
 
@@ -235,6 +288,8 @@ namespace naive {
 void MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n);
 void MatMulTransposedB(const float* a, const float* b, float* c, int64_t m,
+                       int64_t k, int64_t n);
+void MatMulTransposedA(const float* a, const float* b, float* c, int64_t m,
                        int64_t k, int64_t n);
 void Transpose(const float* a, float* out, int64_t m, int64_t n);
 void SoftmaxRows(float* p, int64_t rows, int64_t n);

@@ -9,6 +9,9 @@
 
 namespace tabrep::ops {
 
+// Outputs that a kernel or loop writes in full start uninitialized
+// (Tensor::Uninitialized); only accumulating outputs are zero-filled.
+
 namespace {
 
 void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
@@ -44,7 +47,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Mul");
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   kernels::Mul(out.data(), a.data(), b.data(), a.numel());
   return out;
 }
@@ -74,7 +77,7 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Tanh(const Tensor& a) {
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   kernels::Tanh(out.data(), a.data(), a.numel());
   return out;
 }
@@ -84,7 +87,7 @@ Tensor Relu(const Tensor& a) {
 }
 
 Tensor Gelu(const Tensor& a) {
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   kernels::Gelu(out.data(), a.data(), a.numel());
   return out;
 }
@@ -109,7 +112,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   calls.Increment();
   obs::ScopedTimer timer(duration_us);
   const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  Tensor out({m, n});
+  Tensor out = Tensor::Uninitialized({m, n});
   kernels::MatMul(a.data(), b.data(), out.data(), m, k, n);
   return out;
 }
@@ -126,15 +129,32 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   calls.Increment();
   obs::ScopedTimer timer(duration_us);
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
-  Tensor out({m, n});
+  Tensor out = Tensor::Uninitialized({m, n});
   kernels::MatMulTransposedB(a.data(), b.data(), out.data(), m, k, n);
+  return out;
+}
+
+Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
+  TABREP_CHECK(a.dim() == 2 && b.dim() == 2 && a.rows() == b.rows())
+      << "MatMulTransposedA: " << ShapeToString(a.shape()) << "^T x "
+      << ShapeToString(b.shape());
+  TABREP_TRACE_SPAN("ops.matmul_ta");
+  static obs::Counter& calls =
+      obs::Registry::Get().counter("tabrep.ops.matmul_ta.calls");
+  static obs::Histogram& duration_us =
+      obs::Registry::Get().histogram("tabrep.ops.matmul_ta.us");
+  calls.Increment();
+  obs::ScopedTimer timer(duration_us);
+  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
+  Tensor out = Tensor::Uninitialized({k, n});
+  kernels::MatMulTransposedA(a.data(), b.data(), out.data(), m, k, n);
   return out;
 }
 
 Tensor Transpose(const Tensor& a) {
   TABREP_CHECK(a.dim() == 2);
   const int64_t m = a.rows(), n = a.cols();
-  Tensor out({n, m});
+  Tensor out = Tensor::Uninitialized({n, m});
   kernels::Transpose(a.data(), out.data(), m, n);
   return out;
 }
@@ -161,10 +181,10 @@ Tensor AttentionOp(const Tensor& q, const Tensor& k, const Tensor& v,
       obs::Registry::Get().histogram("tabrep.ops.fused_attention.us");
   calls.Increment();
   obs::ScopedTimer timer(duration_us);
-  Tensor out({q.rows(), v.cols()});
+  Tensor out = Tensor::Uninitialized({q.rows(), v.cols()});
   float* probs = nullptr;
   if (probs_out != nullptr) {
-    *probs_out = Tensor({q.rows(), k.rows()});
+    *probs_out = Tensor::Uninitialized({q.rows(), k.rows()});
     probs = probs_out->data();
   }
   kernel(out.data(), probs);
@@ -233,7 +253,7 @@ Tensor MeanAll(const Tensor& a) {
 Tensor SumAll(const Tensor& a) {
   double acc = 0.0;
   for (int64_t i = 0; i < a.numel(); ++i) acc += a[i];
-  Tensor out({1});
+  Tensor out = Tensor::Uninitialized({1});
   out[0] = static_cast<float>(acc);
   return out;
 }
@@ -273,7 +293,7 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int32_t>& ids) {
 Tensor EmbeddingLookup(const Tensor& table, const int32_t* ids, int64_t n) {
   TABREP_CHECK(table.dim() == 2);
   const int64_t d = table.cols();
-  Tensor out({n, d});
+  Tensor out = Tensor::Uninitialized({n, d});
   for (int64_t i = 0; i < n; ++i) {
     TABREP_CHECK(ids[i] >= 0 && ids[i] < table.rows())
         << "EmbeddingLookup: id " << ids[i] << " out of [0, " << table.rows()
@@ -287,7 +307,7 @@ Tensor EmbeddingLookup(const Tensor& table, const int32_t* ids, int64_t n) {
 
 Tensor SliceRows(const Tensor& a, int64_t begin, int64_t end) {
   TABREP_CHECK(a.dim() == 2 && begin >= 0 && begin <= end && end <= a.rows());
-  Tensor out({end - begin, a.cols()});
+  Tensor out = Tensor::Uninitialized({end - begin, a.cols()});
   std::copy(a.data() + begin * a.cols(), a.data() + end * a.cols(), out.data());
   return out;
 }
@@ -300,7 +320,7 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
     TABREP_CHECK(t.dim() == 2 && t.cols() == cols);
     rows += t.rows();
   }
-  Tensor out({rows, cols});
+  Tensor out = Tensor::Uninitialized({rows, cols});
   float* dst = out.data();
   for (const Tensor& t : parts) {
     std::copy(t.data(), t.data() + t.numel(), dst);
@@ -317,7 +337,7 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
     TABREP_CHECK(t.dim() == 2 && t.rows() == rows);
     cols += t.cols();
   }
-  Tensor out({rows, cols});
+  Tensor out = Tensor::Uninitialized({rows, cols});
   int64_t offset = 0;
   for (const Tensor& t : parts) {
     for (int64_t i = 0; i < rows; ++i) {
@@ -352,7 +372,7 @@ Tensor CrossEntropy(const Tensor& logits, const std::vector<int32_t>& targets,
     }
     if (best == t) ++correct;
   }
-  Tensor out({1});
+  Tensor out = Tensor::Uninitialized({1});
   out[0] = counted > 0 ? static_cast<float>(loss / counted) : 0.0f;
   if (correct_out) *correct_out = correct;
   if (counted_out) *counted_out = counted;

@@ -45,6 +45,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// C[m,n] = A[m,k] * B[n,k]^T — matmul with transposed rhs (the common
 /// attention pattern Q K^T), avoiding a materialized transpose.
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
+/// C[k,n] = A[m,k]^T * B[m,n] without a materialized transpose (the
+/// backward passes' weight-gradient pattern).
+Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 /// Transpose of a 2-D tensor.
 Tensor Transpose(const Tensor& a);
 

@@ -30,15 +30,21 @@ std::string ShapeToString(const std::vector<int64_t>& shape) {
 Tensor::Tensor() : shape_(), data_(mem::TensorPool::Empty()) {}
 
 Tensor::Tensor(std::vector<int64_t> shape)
-    : shape_(std::move(shape)),
-      data_(mem::TensorPool::Acquire(static_cast<size_t>(ShapeNumel(shape_)))) {
+    : Tensor(Uninitialized(std::move(shape))) {
   // Pooled buffers arrive with stale contents; a Tensor(shape) is
   // documented to be zero-filled either way.
   kernels::Fill(data_->data(), static_cast<int64_t>(data_->size()), 0.0f);
 }
 
+Tensor Tensor::Uninitialized(std::vector<int64_t> shape) {
+  Tensor t;
+  t.data_ = mem::TensorPool::Acquire(static_cast<size_t>(ShapeNumel(shape)));
+  t.shape_ = std::move(shape);
+  return t;
+}
+
 Tensor Tensor::Full(std::vector<int64_t> shape, float value) {
-  Tensor t(std::move(shape));
+  Tensor t = Uninitialized(std::move(shape));
   t.Fill(value);
   return t;
 }
@@ -62,13 +68,13 @@ Tensor Tensor::Of(std::initializer_list<float> values) {
 }
 
 Tensor Tensor::Randn(std::vector<int64_t> shape, Rng& rng, float stddev) {
-  Tensor t(std::move(shape));
+  Tensor t = Uninitialized(std::move(shape));
   for (int64_t i = 0; i < t.numel(); ++i) t[i] = rng.NextGaussian() * stddev;
   return t;
 }
 
 Tensor Tensor::Uniform(std::vector<int64_t> shape, Rng& rng, float lo, float hi) {
-  Tensor t(std::move(shape));
+  Tensor t = Uninitialized(std::move(shape));
   for (int64_t i = 0; i < t.numel(); ++i) t[i] = rng.NextUniform(lo, hi);
   return t;
 }

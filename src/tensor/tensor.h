@@ -41,6 +41,9 @@ class Tensor {
   // -- Factories --------------------------------------------------------
 
   static Tensor Zeros(std::vector<int64_t> shape) { return Tensor(std::move(shape)); }
+  /// A tensor whose contents are unspecified (a recycled pool buffer,
+  /// not zero-filled). Only for outputs the caller overwrites in full.
+  static Tensor Uninitialized(std::vector<int64_t> shape);
   static Tensor Ones(std::vector<int64_t> shape) { return Full(std::move(shape), 1.0f); }
   static Tensor Full(std::vector<int64_t> shape, float value);
   /// Copies `values` into aligned storage; its length must equal the

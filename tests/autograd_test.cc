@@ -2,8 +2,13 @@
 
 #include <cmath>
 #include <functional>
+#include <optional>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "tensor/autograd.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace tabrep {
@@ -324,5 +329,188 @@ TEST(AutogradTest, DropoutZeroPIsIdentity) {
   EXPECT_TRUE(y.value().AllClose(x.value()));
 }
 
+// -- Masked-row tied-softmax loss --------------------------------------
+
+/// One TiedSoftmaxLoss case: n rows of width d over a vocabulary of v,
+/// where a -100 target marks a row that carries no loss.
+struct TiedCase {
+  Tensor h, w, b;
+  std::vector<int32_t> targets;
+
+  TiedCase(int64_t n, int64_t d, int64_t v, std::vector<int32_t> t,
+           uint64_t seed)
+      : targets(std::move(t)) {
+    Rng rng(seed);
+    h = Tensor::Randn({n, d}, rng);
+    w = Tensor::Randn({v, d}, rng, 0.5f);
+    b = Tensor::Randn({v}, rng, 0.5f);
+  }
+
+  /// The op takes counted rows only: gather them as the pretraining
+  /// heads do (a differentiable EmbeddingLookup that reads h as its
+  /// table), so gradients reach h's counted rows and nothing else.
+  Variable Loss(const Variable& h_var, const Variable& w_var,
+                const Variable& b_var, int64_t* correct = nullptr) const {
+    std::vector<int32_t> rows, kept;
+    for (size_t i = 0; i < targets.size(); ++i) {
+      if (targets[i] == -100) continue;
+      rows.push_back(static_cast<int32_t>(i));
+      kept.push_back(targets[i]);
+    }
+    return ag::TiedSoftmaxLoss(ag::EmbeddingLookup(h_var, std::move(rows)),
+                               w_var, b_var, std::move(kept), correct);
+  }
+
+  /// The full-row reference: [n, v] logits into ag::CrossEntropy.
+  Variable Reference(int64_t* correct, int64_t* counted) const {
+    Variable logits = ag::AddRowBroadcast(
+        ag::MatMulTransposedB(Variable::Constant(h), Variable::Constant(w)),
+        Variable::Constant(b));
+    return ag::CrossEntropy(logits, targets, -100, correct, counted);
+  }
+
+  /// Finite-difference checks w.r.t. h, the tied weight and the bias.
+  void CheckAllGradients() const {
+    CheckGradient(h, [this](const Variable& x) {
+      return Loss(x, Variable::Constant(w), Variable::Constant(b));
+    });
+    CheckGradient(w, [this](const Variable& x) {
+      return Loss(Variable::Constant(h), x, Variable::Constant(b));
+    });
+    CheckGradient(b, [this](const Variable& x) {
+      return Loss(Variable::Constant(h), Variable::Constant(w), x);
+    });
+  }
+};
+
+TEST(AutogradTest, TiedSoftmaxLossMatchesFullRowCrossEntropy) {
+  // v spans several kTiedSoftmaxBlock blocks with a ragged last one.
+  const int64_t v = 2 * kernels::kTiedSoftmaxBlock + 37;
+  TiedCase c(7, 8, v, {3, -100, 400, 0, -100, static_cast<int32_t>(v - 1), 200},
+             31);
+  int64_t correct = -1, ref_correct = -1, ref_counted = -1;
+  const float loss = c.Loss(Variable::Constant(c.h), Variable::Constant(c.w),
+                            Variable::Constant(c.b), &correct)
+                         .value()[0];
+  const float ref = c.Reference(&ref_correct, &ref_counted).value()[0];
+  EXPECT_NEAR(loss, ref, 1e-5f);
+  EXPECT_EQ(ref_counted, 5);
+  EXPECT_EQ(correct, ref_correct);
+}
+
+TEST(AutogradTest, TiedSoftmaxLossAccuracyCountsArgmaxHits) {
+  // Each row of h is a scaled copy of a weight row; the first two rows
+  // target their own copy (hits), the third targets another (a miss).
+  Tensor w = Tensor::FromVector({3, 2}, {1, 0, 0, 1, -1, -1});
+  Tensor h = Tensor::FromVector({3, 2}, {5, 0, 0, 5, -5, -5});
+  int64_t correct = 0;
+  ag::TiedSoftmaxLoss(Variable::Constant(h), Variable::Constant(w),
+                      Variable::Constant(Tensor::Zeros({3})), {0, 1, 0},
+                      &correct);
+  EXPECT_EQ(correct, 2);
+}
+
+TEST(AutogradTest, BackwardThroughTiedSoftmaxLossWithIgnoredRows) {
+  TiedCase(4, 5, 11, {2, -100, 10, 0}, 32).CheckAllGradients();
+}
+
+TEST(AutogradTest, BackwardThroughTiedSoftmaxLossAcrossBlocks) {
+  const int32_t v = static_cast<int32_t>(kernels::kTiedSoftmaxBlock + 9);
+  TiedCase(3, 3, v, {v - 1, -100, 5}, 33).CheckAllGradients();
+}
+
+TEST(AutogradTest, BackwardThroughTiedSoftmaxLossSingleRow) {
+  TiedCase(1, 6, 9, {4}, 34).CheckAllGradients();
+}
+
+// -- Masked fused attention ----------------------------------------------
+
+TEST(AutogradTest, BackwardThroughMaskedFusedAttention) {
+  // Context, two headers, then a 2x2 grid and a separator-like token in
+  // no row: every rule masks some pairs and keeps others.
+  const std::vector<int32_t> row = {0, 0, 0, 1, 1, 2, 2, 0};
+  const std::vector<int32_t> col = {0, 1, 2, 1, 2, 1, 2, 0};
+  const int64_t t = static_cast<int64_t>(row.size()), dk = 4;
+  Rng rng(40);
+  const Tensor q0 = Tensor::Randn({t, dk}, rng);
+  const Tensor k0 = Tensor::Randn({t, dk}, rng);
+  const Tensor v0 = Tensor::Randn({t, dk}, rng);
+  const Tensor weights = Tensor::Randn({t, dk}, rng);
+  for (kernels::MaskRule rule :
+       {kernels::MaskRule::kNone, kernels::MaskRule::kSameRow,
+        kernels::MaskRule::kSameColumn, kernels::MaskRule::kRowOrColumn,
+        kernels::MaskRule::kSameGroup}) {
+    SCOPED_TRACE(static_cast<int>(rule));
+    const kernels::MaskView mask{rule, row.data(), col.data()};
+    // loss = Σ out ⊙ weights, with one of q/k/v differentiated.
+    auto loss = [&](const Variable& q, const Variable& k, const Variable& v) {
+      Variable out = ag::FusedAttention(q, k, v, mask, 0.5f);
+      return ag::SumAll(ag::Mul(out, Variable::Constant(weights)));
+    };
+    auto constant = [](const Tensor& x) { return Variable::Constant(x); };
+    CheckGradient(q0, [&](const Variable& q) {
+      return loss(q, constant(k0), constant(v0));
+    });
+    CheckGradient(k0, [&](const Variable& k) {
+      return loss(constant(q0), k, constant(v0));
+    });
+    CheckGradient(v0, [&](const Variable& v) {
+      return loss(constant(q0), constant(k0), v);
+    });
+  }
+}
+
+// -- Transposed GEMM backward -------------------------------------------
+
+TEST(AutogradTest, MatMulWeightGradientMatchesExplicitTranspose) {
+  // dB = A^T g through the packed A^T·B kernel, against the explicit
+  // transpose; shapes cover full 6x16 tiles plus ragged edges.
+  Rng rng(41);
+  for (auto [m, k, n] : {std::tuple<int64_t, int64_t, int64_t>{7, 13, 17},
+                         {12, 6, 32}, {1, 5, 3}, {40, 33, 19}}) {
+    Tensor a = Tensor::Randn({m, k}, rng);
+    Tensor g = Tensor::Randn({m, n}, rng);
+    const Tensor want = ops::MatMul(ops::Transpose(a), g);
+    const Tensor got = ops::MatMulTransposedA(a, g);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_TRUE(got.AllClose(want, 1e-4f)) << m << "x" << k << "x" << n;
+  }
+}
+
+TEST(AutogradTest, FirstTouchGradientsAccumulateLikeZeroFill) {
+  // A node reached twice: the first write adopts its delta, the second
+  // adds into it; a redirect table behaves the same way.
+  Rng rng(42);
+  Tensor x0 = Tensor::Randn({3, 4}, rng);
+  Tensor w0 = Tensor::Randn({4, 2}, rng);
+  auto run = [&](ag::GradTable* table) {
+    Variable x = Variable::Param(x0.Clone());
+    Variable w = Variable::Param(w0.Clone());
+    Variable y = ag::MatMul(x, w);
+    Variable loss = ag::SumAll(ag::Add(ag::Mul(y, y), ag::MulScalar(y, 3.0f)));
+    {
+      std::optional<ag::ScopedGradRedirect> redirect;
+      if (table != nullptr) redirect.emplace(table);
+      ag::Backward(loss);
+    }
+    if (table != nullptr) {
+      std::vector<Variable*> params = {&x, &w};
+      ag::AccumulateGrads(*table, params);
+    }
+    return std::make_pair(x.grad().Clone(), w.grad().Clone());
+  };
+  const auto direct = run(nullptr);
+  ag::GradTable table;
+  const auto redirected = run(&table);
+  EXPECT_TRUE(direct.first.AllClose(redirected.first, 0.0f));
+  EXPECT_TRUE(direct.second.AllClose(redirected.second, 0.0f));
+  // d/dy (y^2 + 3y) = 2y + 3 -> dx = (2y + 3) w^T.
+  Tensor y = ops::MatMul(x0, w0);
+  Tensor dy = ops::AddScalar(ops::MulScalar(y, 2.0f), 3.0f);
+  EXPECT_TRUE(direct.first.AllClose(ops::MatMulTransposedB(dy, w0), 1e-4f));
+}
+
 }  // namespace
 }  // namespace tabrep
+
+#include "simd_pin_main.h"

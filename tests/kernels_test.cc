@@ -518,9 +518,10 @@ TEST(KernelsTest, VariantTableEnumeratesOpsAndPinsActive) {
   for (const kernels::OpVariants& op : table) by_op[op.op] = op;
   // Core f32 ops plus the int8 translation unit's ops must all be
   // registered — the cross-TU provider hook is load-bearing here.
-  for (const char* op : {"matmul", "matmul_tb", "dot", "softmax_rows",
-                         "attention", "masked_attention", "quantize_u8",
-                         "matmul_int8"}) {
+  for (const char* op : {"matmul", "matmul_tb", "matmul_ta", "dot",
+                         "softmax_rows", "attention", "masked_attention",
+                         "tied_softmax_forward", "tied_softmax_backward",
+                         "quantize_u8", "matmul_int8"}) {
     ASSERT_EQ(by_op.count(op), 1u) << op;
   }
   const std::string active_level =
@@ -698,26 +699,4 @@ TEST(KernelsTest, MatMulInt8ThreadCountInvariantBitwise) {
 }  // namespace
 }  // namespace tabrep
 
-// TABREP_REQUIRE_SIMD pins the ctest variant-matrix entries: when the
-// resolved dispatch level cannot honor the requested tier (e.g. an
-// avx2 run on a host without AVX2), the binary reports a ctest SKIP
-// (exit 77, see SKIP_RETURN_CODE) instead of silently testing the
-// fallback tier a second time. Defining main here is safe alongside
-// gtest_main: the linker only pulls its archive member when main is
-// unresolved.
-int main(int argc, char** argv) {
-  ::testing::InitGoogleTest(&argc, argv);
-  const char* required = std::getenv("TABREP_REQUIRE_SIMD");
-  if (required != nullptr && *required != '\0') {
-    const char* active =
-        tabrep::kernels::SimdLevelName(tabrep::kernels::ActiveSimdLevel());
-    if (std::string(required) != active) {
-      std::printf(
-          "SKIPPED: TABREP_REQUIRE_SIMD=%s but the active kernel dispatch "
-          "level is '%s' (host or build cannot honor the requested tier)\n",
-          required, active);
-      return 77;
-    }
-  }
-  return RUN_ALL_TESTS();
-}
+#include "simd_pin_main.h"

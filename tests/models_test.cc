@@ -404,12 +404,43 @@ TEST_F(ModelsFixture, MlmHeadShapesAndTying) {
   head.SetTraining(false);
   TokenizedTable serialized = serializer_->Serialize(corpus_->tables[7]);
   models::Encoded enc = model.Encode(serialized, rng, {.need_cells = false});
-  ag::Variable logits = head.Forward(enc.hidden);
-  EXPECT_EQ(logits.shape(),
-            (std::vector<int64_t>{serialized.size(), config.vocab_size}));
-  // Weight tying: gradient into logits reaches the embedding table.
-  ag::Backward(ag::MeanAll(logits));
+  EXPECT_EQ(head.Transform(enc.hidden).shape(),
+            (std::vector<int64_t>{serialized.size(), 32}));
+  EXPECT_EQ(head.output_bias().shape(),
+            (std::vector<int64_t>{config.vocab_size}));
+  // Three counted rows; the rest are ignored.
+  std::vector<int32_t> targets(static_cast<size_t>(serialized.size()), -100);
+  targets[1] = 5;
+  targets[3] = 7;
+  targets[4] = static_cast<int32_t>(config.vocab_size - 1);
+  models::HeadLoss loss = head.Loss(enc.hidden, targets);
+  EXPECT_EQ(loss.counted, 3);
+  EXPECT_GE(loss.correct, 0);
+  EXPECT_LE(loss.correct, 3);
+  ASSERT_EQ(loss.loss.numel(), 1);
+  EXPECT_GT(loss.loss.value()[0], 0.0f);
+  // Weight tying: the loss gradient reaches the embedding table, and
+  // only the counted rows of the encoder output.
+  ag::Backward(loss.loss);
   EXPECT_GT(ops::Norm(model.token_embedding_weight().grad()), 0.0f);
+  EXPECT_GT(ops::Norm(head.output_bias().grad()), 0.0f);
+  const Tensor& dh = enc.hidden.grad();
+  for (int64_t r = 0; r < dh.rows(); ++r) {
+    const float norm = ops::Norm(ops::SliceRows(dh, r, r + 1));
+    if (r == 1 || r == 3 || r == 4) {
+      EXPECT_GT(norm, 0.0f) << "row " << r;
+    } else {
+      EXPECT_EQ(norm, 0.0f) << "row " << r;
+    }
+  }
+  // No counted row: loss 0, nothing to differentiate.
+  models::HeadLoss none = head.Loss(
+      enc.hidden, std::vector<int32_t>(static_cast<size_t>(serialized.size()),
+                                       -100));
+  EXPECT_EQ(none.counted, 0);
+  EXPECT_EQ(none.correct, 0);
+  EXPECT_EQ(none.loss.value()[0], 0.0f);
+  EXPECT_FALSE(none.loss.requires_grad());
 }
 
 TEST_F(ModelsFixture, EntityHeadShape) {
@@ -422,8 +453,24 @@ TEST_F(ModelsFixture, EntityHeadShape) {
   TokenizedTable serialized = serializer_->Serialize(corpus_->tables[8]);
   models::Encoded enc = model.Encode(serialized, rng);
   ASSERT_TRUE(enc.has_cells);
-  ag::Variable logits = head.Forward(enc.cells);
-  EXPECT_EQ(logits.shape()[1], config.entity_vocab_size);
+  const int64_t cells = enc.cells.value().rows();
+  EXPECT_EQ(head.Transform(enc.cells).shape(),
+            (std::vector<int64_t>{cells, 32}));
+  EXPECT_EQ(head.output_bias().numel(), config.entity_vocab_size);
+  std::vector<int32_t> targets(static_cast<size_t>(cells), -100);
+  targets[0] = static_cast<int32_t>(config.entity_vocab_size - 1);
+  models::HeadLoss loss = head.Loss(enc.cells, targets);
+  EXPECT_EQ(loss.counted, 1);
+  EXPECT_GT(loss.loss.value()[0], 0.0f);
+  ag::Backward(loss.loss);
+  EXPECT_GT(ops::Norm(model.entity_embedding_weight().grad()), 0.0f);
+  // No counted row: loss 0, nothing to differentiate.
+  models::HeadLoss none =
+      head.Loss(enc.cells, std::vector<int32_t>(static_cast<size_t>(cells), -100));
+  EXPECT_EQ(none.counted, 0);
+  EXPECT_EQ(none.correct, 0);
+  EXPECT_EQ(none.loss.value()[0], 0.0f);
+  EXPECT_FALSE(none.loss.requires_grad());
 }
 
 TEST_F(ModelsFixture, CellSelectionHeadShape) {

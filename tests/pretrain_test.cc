@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "nn/data_parallel.h"
 #include "pretrain/masking.h"
 #include "pretrain/trainer.h"
 #include "serialize/vocab_builder.h"
@@ -240,6 +243,113 @@ TEST_F(PretrainFixture, PretrainingBeatsRandomInitOnHeldoutMlm) {
   PretrainEval rand_eval = untrained.Evaluate(test, 16);
 
   EXPECT_LT(pre_eval.mlm_loss, rand_eval.mlm_loss);
+}
+
+/// The full-row reference for a tied head: [rows, vocab] logits from
+/// the head's transform, then ag::CrossEntropy.
+ag::Variable FullRowLoss(const ag::Variable& transformed,
+                         const ag::Variable& tied, const ag::Variable& bias,
+                         const std::vector<int32_t>& targets, int64_t* correct,
+                         int64_t* counted) {
+  ag::Variable logits =
+      ag::AddRowBroadcast(ag::MatMulTransposedB(transformed, tied), bias);
+  return ag::CrossEntropy(logits, targets, kIgnoreTarget, correct, counted);
+}
+
+TEST_F(PretrainFixture, TiedSoftmaxHeadsMatchFullRowCrossEntropy) {
+  ModelConfig config = TinyConfig(ModelFamily::kTurl);
+  TableEncoderModel model(config);
+  model.SetTraining(false);
+  Rng init(21);
+  models::MlmHead mlm_head(&model, init);
+  models::EntityRecoveryHead mer_head(&model, init);
+  MlmOptions mlm_opts;
+  mlm_opts.vocab_size = static_cast<int32_t>(config.vocab_size);
+  Rng rng(22);
+  int64_t checked_mer = 0;
+  for (int64_t i = 0; i < 8; ++i) {
+    SCOPED_TRACE(i);
+    TokenizedTable serialized = serializer_->Serialize(corpus_->tables[i]);
+    MlmExample mlm = ApplyMlmMasking(serialized, mlm_opts, rng);
+    models::Encoded enc = model.Encode(mlm.input, rng);
+    int64_t correct = 0, counted = 0;
+    const models::HeadLoss loss =
+        mlm_head.Loss(enc.hidden, mlm.targets, kIgnoreTarget);
+    const float ref =
+        FullRowLoss(mlm_head.Transform(enc.hidden),
+                    model.token_embedding_weight(), mlm_head.output_bias(),
+                    mlm.targets, &correct, &counted)
+            .value()[0];
+    EXPECT_NEAR(loss.loss.value()[0], ref, 1e-5f);
+    EXPECT_EQ(loss.correct, correct);
+    EXPECT_EQ(loss.counted, counted);
+
+    MerExample mer = ApplyMerMasking(serialized, MerOptions{}, rng);
+    models::Encoded cells = model.Encode(mer.input, rng);
+    if (mer.num_masked == 0 || !cells.has_cells) continue;
+    const models::HeadLoss mer_loss =
+        mer_head.Loss(cells.cells, mer.cell_targets, kIgnoreTarget);
+    const float mer_ref =
+        FullRowLoss(mer_head.Transform(cells.cells),
+                    model.entity_embedding_weight(), mer_head.output_bias(),
+                    mer.cell_targets, &correct, &counted)
+            .value()[0];
+    EXPECT_NEAR(mer_loss.loss.value()[0], mer_ref, 1e-5f);
+    EXPECT_EQ(mer_loss.correct, correct);
+    EXPECT_EQ(mer_loss.counted, counted);
+    ++checked_mer;
+  }
+  EXPECT_GT(checked_mer, 0);
+}
+
+TEST_F(PretrainFixture, EvaluatePerplexityMatchesFullRowPath) {
+  ModelConfig config = TinyConfig(ModelFamily::kVanilla);
+  TableEncoderModel model(config);
+  PretrainConfig pconfig;
+  pconfig.steps = 0;
+  pconfig.seed = 23;
+  PretrainTrainer trainer(&model, serializer_, pconfig);
+  const int64_t n = 12;
+  const PretrainEval eval = trainer.Evaluate(*corpus_, n);
+
+  // Evaluate, replayed on the full-row path: the trainer draws its MLM
+  // head from Rng(seed) and each example's rng from ParallelExamples
+  // over Rng(seed + 1000).
+  model.SetTraining(false);
+  Rng init(pconfig.seed);
+  models::MlmHead head(&model, init);
+  MlmOptions mlm_opts = pconfig.mlm;
+  mlm_opts.vocab_size = static_cast<int32_t>(config.vocab_size);
+  std::vector<double> losses(static_cast<size_t>(n), -1.0);
+  std::vector<int64_t> correct(static_cast<size_t>(n), 0);
+  std::vector<int64_t> counted(static_cast<size_t>(n), 0);
+  nn::ParallelExamples(n, Rng(pconfig.seed + 1000), [&](int64_t i, Rng& rng) {
+    ag::NoGradScope no_grad;
+    const size_t s = static_cast<size_t>(i);
+    MlmExample ex = ApplyMlmMasking(serializer_->Serialize(corpus_->tables[s]),
+                                    mlm_opts, rng);
+    if (ex.num_masked == 0) return;
+    models::Encoded enc = model.Encode(ex.input, rng, {.need_cells = false});
+    losses[s] = FullRowLoss(head.Transform(enc.hidden),
+                            model.token_embedding_weight(), head.output_bias(),
+                            ex.targets, &correct[s], &counted[s])
+                    .value()[0];
+  });
+  double sum = 0.0;
+  int64_t examples = 0, hits = 0, total = 0;
+  for (size_t i = 0; i < losses.size(); ++i) {
+    if (counted[i] == 0) continue;
+    sum += losses[i];
+    ++examples;
+    hits += correct[i];
+    total += counted[i];
+  }
+  ASSERT_GT(examples, 0);
+  const float ref_loss = static_cast<float>(sum / examples);
+  EXPECT_NEAR(eval.mlm_loss, ref_loss, 1e-5f);
+  EXPECT_NEAR(eval.mlm_perplexity, std::exp(ref_loss),
+              1e-5f * std::exp(ref_loss));
+  EXPECT_EQ(eval.mlm_accuracy, static_cast<float>(hits) / total);
 }
 
 }  // namespace

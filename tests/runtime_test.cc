@@ -138,7 +138,15 @@ TEST(DeterminismTest, MatMulIsBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-TensorMap PretrainStepAt(int threads) {
+/// Parameters and loss curve after two pretraining steps.
+struct PretrainRun {
+  TensorMap params;
+  std::vector<PretrainLogEntry> curve;
+};
+
+PretrainRun PretrainStepAt(int threads,
+                           ModelFamily family = ModelFamily::kTapas,
+                           bool use_mer = false, float dropout = 0.1f) {
   ScopedRuntimeConfig config(threads);
   SyntheticCorpusOptions opts;
   opts.num_tables = 8;
@@ -153,14 +161,14 @@ TensorMap PretrainStepAt(int threads) {
   TableSerializer serializer(&tokenizer, sopts);
 
   ModelConfig mconfig;
-  mconfig.family = ModelFamily::kTapas;
+  mconfig.family = family;
   mconfig.vocab_size = tokenizer.vocab().size();
   mconfig.entity_vocab_size = corpus.entities.size();
   mconfig.transformer.dim = 16;
   mconfig.transformer.num_layers = 1;
   mconfig.transformer.num_heads = 2;
   mconfig.transformer.ffn_dim = 32;
-  mconfig.transformer.dropout = 0.1f;  // exercises per-head seed draws
+  mconfig.transformer.dropout = dropout;  // > 0 exercises per-head seeds
   mconfig.max_position = 64;
   mconfig.seed = 5;
   TableEncoderModel model(mconfig);
@@ -169,14 +177,15 @@ TensorMap PretrainStepAt(int threads) {
   pconfig.steps = 2;
   pconfig.batch_size = 4;
   pconfig.seed = 9;
+  pconfig.use_mer = use_mer;
   PretrainTrainer trainer(&model, &serializer, pconfig);
-  trainer.Train(corpus);
-  return model.ExportStateDict();
+  PretrainRun run;
+  run.curve = trainer.Train(corpus);
+  run.params = model.ExportStateDict();
+  return run;
 }
 
-TEST(DeterminismTest, PretrainStepIsBitwiseIdenticalAcrossThreadCounts) {
-  TensorMap serial = PretrainStepAt(1);
-  TensorMap parallel = PretrainStepAt(4);
+void ExpectSameParams(const TensorMap& serial, const TensorMap& parallel) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (const auto& [name, tensor] : serial) {
     auto it = parallel.find(name);
@@ -186,6 +195,30 @@ TEST(DeterminismTest, PretrainStepIsBitwiseIdenticalAcrossThreadCounts) {
                           static_cast<size_t>(tensor.numel()) * sizeof(float)),
               0)
         << "parameter " << name << " differs across thread counts";
+  }
+}
+
+TEST(DeterminismTest, PretrainStepIsBitwiseIdenticalAcrossThreadCounts) {
+  ExpectSameParams(PretrainStepAt(1).params, PretrainStepAt(4).params);
+}
+
+// The benchmark's path: TURL with MLM + masked entity recovery through
+// the tied-softmax loss, with and without attention dropout.
+TEST(DeterminismTest, TurlMerPretrainStepIsBitwiseIdenticalAcrossThreadCounts) {
+  for (float dropout : {0.0f, 0.1f}) {
+    SCOPED_TRACE(dropout);
+    const PretrainRun serial =
+        PretrainStepAt(1, ModelFamily::kTurl, /*use_mer=*/true, dropout);
+    const PretrainRun parallel =
+        PretrainStepAt(4, ModelFamily::kTurl, /*use_mer=*/true, dropout);
+    ExpectSameParams(serial.params, parallel.params);
+    ASSERT_EQ(serial.curve.size(), parallel.curve.size());
+    for (size_t i = 0; i < serial.curve.size(); ++i) {
+      EXPECT_EQ(serial.curve[i].mlm_loss, parallel.curve[i].mlm_loss);
+      EXPECT_EQ(serial.curve[i].mer_loss, parallel.curve[i].mer_loss);
+      EXPECT_EQ(serial.curve[i].mer_accuracy, parallel.curve[i].mer_accuracy);
+    }
+    EXPECT_GT(serial.curve.back().mer_loss, 0.0f) << "MER never ran";
   }
 }
 

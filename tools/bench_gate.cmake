@@ -2,9 +2,10 @@
 #   cmake -DBENCH_BIN=... -DDIFF_BIN=... -DWORK_DIR=... -P bench_gate.cmake
 #
 # 1. Runs the fig2d bench twice in smoke mode: identical workloads, so
-#    every counter matches exactly and bench_diff must exit 0. Timing
-#    thresholds are relaxed to +200% here — wall-clock noise on shared
-#    CI machines is real; the deterministic counters carry the gate.
+#    every counter matches exactly and bench_diff must exit 0. This step
+#    compares counters only: its timing thresholds sit beyond any real
+#    value (as in bench_baseline.cmake), because under CPU load a
+#    histogram p95 of the same workload moved +750% between two runs.
 # 2. Re-runs with TABREP_SMOKE_SCALE=2 (double the training steps): a
 #    genuine workload regression that bench_diff must flag (exit 1).
 
@@ -39,7 +40,7 @@ run_bench(${WORK_DIR}/run2x 2)
 
 # Identical workloads must pass the gate.
 execute_process(
-  COMMAND ${DIFF_BIN} --max-p95-regress=2.0 --max-total-regress=2.0
+  COMMAND ${DIFF_BIN} --max-p95-regress=1000000 --max-total-regress=1000000
           ${WORK_DIR}/run1/BENCH_fig2d.json ${WORK_DIR}/run2/BENCH_fig2d.json
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
